@@ -17,10 +17,11 @@
 //!   RAG by delta replay, a worklist reduction over reusable scratch and
 //!   an epoch-keyed result cache. All functional detection entry points
 //!   route through it.
-//! * [`sparse::SparseState`] — the adjacency-list twin of the matrix for
-//!   large, mostly-empty graphs: O(degree) edge deltas, O(edges) probes,
-//!   bit-identical reduction reports. [`engine::DetectEngine`] dispatches
-//!   between dense and sparse per probe via [`sparse::SparseConfig`].
+//! * [`sparse::SparseState`] — the flat edge-array twin of the matrix
+//!   for large, mostly-empty graphs: O(degree) edge deltas, probes in
+//!   O(Σ surviving edges over the passes), bit-identical reduction
+//!   reports. [`engine::DetectEngine`] dispatches between dense and
+//!   sparse per probe via [`sparse::SparseConfig`].
 //! * [`pdda`] — the Parallel Deadlock Detection Algorithm (Algorithm 2),
 //!   in both the word-parallel form and the instruction-metered
 //!   *software* form the paper benchmarks as RTOS1.

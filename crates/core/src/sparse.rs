@@ -7,32 +7,48 @@
 //! zero, so the matrix form does mostly-wasted work — and beyond the
 //! `u16` id space it cannot even be allocated.
 //!
-//! [`SparseState`] keeps the same state as compact adjacency lists:
-//! per-resource request and grant edge lists (`row_req[s]` /
-//! `row_grant[s]`, process ids) plus per-process edge counts as the
-//! reverse index. Every edge delta is applied in O(degree) of the touched
-//! row, and a probe costs O(edges) per pass instead of O(live_rows ×
-//! words).
+//! [`SparseState`] keeps the same state as one flat edge array: every
+//! live cell is a (row, column, grant bit) triple, stored contiguously in
+//! no particular order. A per-row list of edge slots indexes the array,
+//! so a cell read or write costs O(degree) of the touched row; deleting
+//! an edge swap-removes it and repoints the one slot that moved.
 //!
-//! **Equivalence.** [`SparseState::reduce`] replays the *exact* pass
-//! structure of [`crate::reduction::reduce_core`]:
+//! [`SparseState::reduce`] copies the edge array into a workspace and
+//! counts `[requests, grants]` per row and per column. Each pass splits
+//! the surviving edges into kept and gone, then decrements the counts of
+//! the gone edges. An edge goes when its row or its column is terminal
+//! (requests XOR grants), judged on the counts as they stood at the start
+//! of the pass.
 //!
-//! * a row is terminal iff it has requests XOR grants — list emptiness
+//! **Equivalence.** That rule is [`crate::reduction::reduce_core`]'s pass
+//! restated per edge:
+//!
+//! * a row is terminal iff it has requests XOR grants — its count pair
 //!   here, the fused BWO row scan there;
 //! * a column is terminal iff it has requests XOR grants across live
-//!   rows — the `cnt_req`/`cnt_grant` counters here are exactly the
-//!   "any bit set" OR-accumulators of the dense column mask;
-//! * removal happens against the same pre-removal snapshot the flags
-//!   were computed from (terminal rows drop whole rows, non-terminal
-//!   rows drop only their terminal-column cells);
-//! * the final pass that finds no terminals is counted in `steps`, and
-//!   completeness is "no edges remain" — identical to the dense check
-//!   that every column accumulator is zero.
+//!   rows — its count pair here, the dense column mask there;
+//! * `reduce_core` removes against the pre-removal snapshot the flags
+//!   were computed from: terminal rows drop whole rows, non-terminal rows
+//!   drop only their terminal-column cells. Together that is exactly "an
+//!   edge leaves in the pass in which one of its ends is terminal", and
+//!   deferring the decrements until the split is done keeps the snapshot;
+//! * a terminal row or column holds at least one edge, so a pass finds a
+//!   terminal iff it removes an edge. The first pass that removes nothing
+//!   is counted in `steps`, and completeness is "no edge survived" —
+//!   identical to the dense check that every column accumulator is zero.
 //!
 //! Since the per-pass terminal sets are equal, `iterations`, `steps` and
 //! the verdict are bit-identical to the dense engine on every input (the
 //! LCG equivalence suite drives both paths through identical random
 //! delta streams to enforce this).
+//!
+//! **Cost.** Copying and counting is O(edges). A pass is one sweep over
+//! the surviving edges plus a decrement per gone edge, all over a few
+//! contiguous arrays, so a probe costs O(Σ surviving edges over its
+//! passes). Shallow graphs, which lose most edges in the first few
+//! passes, cost a small multiple of the edge count. The worst case is a
+//! deep chain, which loses only its two ends per pass: a chain of k edges
+//! takes about k/2 passes and O(k²) in all.
 //!
 //! Unlike the matrix paths, `SparseState` is indexed by `usize`, so it
 //! represents graphs beyond `u16` ids (e.g. 1M×1M, where a dense
@@ -67,8 +83,11 @@ pub struct SparseConfig {
 impl Default for SparseConfig {
     fn default() -> Self {
         SparseConfig {
-            // 1024² and up; 4‰ of the area (≈4.2k edges at 1024²) is
-            // where list walks stop beating word scans.
+            // 1024² and up, at most 4‰ of the area (≈4.2k edges at
+            // 1024²). 4‰ is not a measured crossover: `detect_sparse`
+            // finds the sparse path faster than dense on every row it
+            // runs, down to 500², but every row sits below 0.5‰ of its
+            // area.
             min_area: 1 << 20,
             max_density_permille: 4,
         }
@@ -93,7 +112,7 @@ impl SparseConfig {
     }
 
     /// `true` if a matrix of this area may ever use the sparse path
-    /// (governs whether the engine maintains the adjacency mirror).
+    /// (governs whether the engine maintains the sparse mirror).
     pub fn covers_shape(&self, area: usize) -> bool {
         area >= self.min_area
     }
@@ -107,50 +126,44 @@ impl SparseConfig {
     }
 }
 
-/// Reusable probe workspace: working copies of the live rows' edge
-/// lists, the per-process count reverse index, terminal flags and the
-/// touched-column list that resets the counters in O(touched).
+/// One live cell: a request or grant edge between resource row `row` and
+/// process column `col`.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    row: u32,
+    col: u32,
+    grant: bool,
+}
+
+/// `true` if a `[requests, grants]` count pair is terminal: edges of
+/// exactly one kind.
+fn terminal(counts: [u32; 2]) -> bool {
+    (counts[0] == 0) != (counts[1] == 0)
+}
+
+/// Reusable probe workspace: the surviving edges, the edges removed in
+/// the current pass, and `[requests, grants]` counts per row and per
+/// column. The counts are all zero between probes.
 #[derive(Debug, Clone, Default)]
 struct Workspace {
-    row_req: Vec<Vec<u32>>,
-    row_grant: Vec<Vec<u32>>,
-    active: Vec<u32>,
-    row_terminal: Vec<bool>,
-    cnt_req: Vec<u32>,
-    cnt_grant: Vec<u32>,
-    col_terminal: Vec<bool>,
-    touched_cols: Vec<u32>,
+    live: Vec<Edge>,
+    gone: Vec<Edge>,
+    row_cnt: Vec<[u32; 2]>,
+    col_cnt: Vec<[u32; 2]>,
 }
 
 impl Workspace {
     fn ensure(&mut self, m: usize, n: usize) {
-        if self.row_req.len() < m {
-            self.row_req.resize_with(m, Vec::new);
-            self.row_grant.resize_with(m, Vec::new);
-            self.row_terminal.resize(m, false);
+        if self.row_cnt.len() < m {
+            self.row_cnt.resize(m, [0; 2]);
         }
-        if self.cnt_req.len() < n {
-            self.cnt_req.resize(n, 0);
-            self.cnt_grant.resize(n, 0);
-            self.col_terminal.resize(n, false);
+        if self.col_cnt.len() < n {
+            self.col_cnt.resize(n, [0; 2]);
         }
     }
 }
 
-/// Removes one value from an unordered edge list. Returns whether it was
-/// present. O(degree) scan — the lists are tiny at the densities where
-/// the sparse path is ever selected.
-fn list_remove(list: &mut Vec<u32>, t: u32) -> bool {
-    match list.iter().position(|&x| x == t) {
-        Some(i) => {
-            list.swap_remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
-/// Adjacency-list encoding of the state matrix, with the same cell
+/// Flat edge-array encoding of the state matrix, with the same cell
 /// semantics as [`StateMatrix`] (a cell is Empty, Request or Grant;
 /// writing one kind clears the other) and a terminal reduction that is
 /// bit-identical to the dense engine's.
@@ -158,19 +171,12 @@ fn list_remove(list: &mut Vec<u32>, t: u32) -> bool {
 pub struct SparseState {
     m: usize,
     n: usize,
-    /// `row_req[s]` = processes with a request edge on resource `s`.
-    row_req: Vec<Vec<u32>>,
-    /// `row_grant[s]` = processes resource `s` is granted to. A list,
-    /// not an option: direct DDU-style cell writes can legally produce
-    /// multi-grant rows, and the matrix twin represents them.
-    row_grant: Vec<Vec<u32>>,
-    /// Dense list of the non-empty rows (the reduction's seed worklist).
-    live_rows: Vec<u32>,
-    /// `live_pos[s]` = index of row `s` in `live_rows` (`u32::MAX` when
-    /// the row is empty); O(1) membership via swap-remove.
-    live_pos: Vec<u32>,
-    /// Total live edges (requests + grants).
-    edges: u64,
+    /// Every live edge, in no particular order.
+    edges: Vec<Edge>,
+    /// `row_slots[s]` = indices into `edges` of row `s`'s edges. A row
+    /// may hold several grants: direct DDU-style cell writes can legally
+    /// produce multi-grant rows, and the matrix twin represents them.
+    row_slots: Vec<Vec<u32>>,
     ws: Workspace,
 }
 
@@ -192,11 +198,8 @@ impl SparseState {
         SparseState {
             m: resources,
             n: processes,
-            row_req: vec![Vec::new(); resources],
-            row_grant: vec![Vec::new(); resources],
-            live_rows: Vec::new(),
-            live_pos: vec![u32::MAX; resources],
-            edges: 0,
+            edges: Vec::new(),
+            row_slots: vec![Vec::new(); resources],
             ws: Workspace::default(),
         }
     }
@@ -213,24 +216,26 @@ impl SparseState {
 
     /// Total live edges (requests + grants).
     pub fn live_edges(&self) -> u64 {
-        self.edges
+        self.edges.len() as u64
     }
 
     /// `true` if no edge is present.
     pub fn is_empty(&self) -> bool {
-        self.edges == 0
+        self.edges.is_empty()
     }
 
     /// Reads cell `(q, p)`.
     pub fn cell(&self, q: usize, p: usize) -> Cell {
         assert!(q < self.m && p < self.n, "cell ({q},{p}) out of range");
         let t = p as u32;
-        if self.row_req[q].contains(&t) {
-            Cell::Request
-        } else if self.row_grant[q].contains(&t) {
-            Cell::Grant
-        } else {
-            Cell::Empty
+        match self.row_slots[q]
+            .iter()
+            .map(|&i| self.edges[i as usize])
+            .find(|e| e.col == t)
+        {
+            None => Cell::Empty,
+            Some(e) if e.grant => Cell::Grant,
+            Some(_) => Cell::Request,
         }
     }
 
@@ -250,7 +255,7 @@ impl SparseState {
         self.write(q, p, Cell::Empty);
     }
 
-    /// Applies one journal delta — the hook that keeps the adjacency
+    /// Applies one journal delta — the hook that keeps the edge-array
     /// mirror current in O(degree) per edge change.
     pub fn apply_delta(&mut self, delta: RagDelta) {
         match delta {
@@ -267,46 +272,45 @@ impl SparseState {
             self.m,
             self.n
         );
-        let tt = t as u32;
-        // A cell lives in at most one of the two lists, so the scans
-        // short-circuit.
-        let had = list_remove(&mut self.row_req[s], tt) || list_remove(&mut self.row_grant[s], tt);
-        match kind {
-            Cell::Request => self.row_req[s].push(tt),
-            Cell::Grant => self.row_grant[s].push(tt),
-            Cell::Empty => {}
-        }
-        let has = !matches!(kind, Cell::Empty);
-        match (had, has) {
-            (false, true) => self.edges += 1,
-            (true, false) => self.edges -= 1,
-            _ => {}
-        }
-        let nonempty = !self.row_req[s].is_empty() || !self.row_grant[s].is_empty();
-        let tracked = self.live_pos[s] != u32::MAX;
-        if nonempty && !tracked {
-            self.live_pos[s] = self.live_rows.len() as u32;
-            self.live_rows.push(s as u32);
-        } else if !nonempty && tracked {
-            let i = self.live_pos[s] as usize;
-            self.live_pos[s] = u32::MAX;
-            self.live_rows.swap_remove(i);
-            if let Some(&moved) = self.live_rows.get(i) {
-                self.live_pos[moved as usize] = i as u32;
+        let (row, col) = (s as u32, t as u32);
+        let slots = &mut self.row_slots[s];
+        let found = slots
+            .iter()
+            .position(|&i| self.edges[i as usize].col == col);
+        match (found, kind) {
+            (None, Cell::Empty) => {}
+            (None, _) => {
+                let slot = u32::try_from(self.edges.len()).expect("edge count fits u32 slots");
+                slots.push(slot);
+                self.edges.push(Edge {
+                    row,
+                    col,
+                    grant: kind == Cell::Grant,
+                });
             }
+            (Some(i), Cell::Empty) => {
+                let slot = slots.swap_remove(i) as usize;
+                self.edges.swap_remove(slot);
+                // The last edge moved into the hole: repoint its slot.
+                if let Some(moved) = self.edges.get(slot) {
+                    let last = self.edges.len() as u32;
+                    let entry = self.row_slots[moved.row as usize]
+                        .iter_mut()
+                        .find(|i| **i == last)
+                        .expect("every edge has a row slot");
+                    *entry = slot as u32;
+                }
+            }
+            (Some(i), _) => self.edges[slots[i] as usize].grant = kind == Cell::Grant,
         }
     }
 
-    /// Removes every edge in O(live rows + edges), not O(m).
+    /// Removes every edge in O(edges), not O(m).
     pub fn clear_all(&mut self) {
-        for &s in &self.live_rows {
-            let su = s as usize;
-            self.row_req[su].clear();
-            self.row_grant[su].clear();
-            self.live_pos[su] = u32::MAX;
+        for e in &self.edges {
+            self.row_slots[e.row as usize].clear();
         }
-        self.live_rows.clear();
-        self.edges = 0;
+        self.edges.clear();
     }
 
     /// Rebuilds from a RAG (the cold path's sparse twin).
@@ -369,137 +373,58 @@ impl SparseState {
         }
     }
 
-    /// Runs the terminal reduction on working copies of the live rows,
+    /// Runs the terminal reduction on a working copy of the edge array,
     /// leaving the state untouched. Returns the same report the dense
     /// [`crate::reduction::reduce_core`] would on the equivalent matrix —
     /// same `iterations`, same `steps`, same completeness.
     pub fn reduce(&mut self) -> ReductionReport {
         self.ws.ensure(self.m, self.n);
         let Workspace {
-            row_req: work_req,
-            row_grant: work_grant,
-            active,
-            row_terminal,
-            cnt_req,
-            cnt_grant,
-            col_terminal,
-            touched_cols,
+            live,
+            gone,
+            row_cnt,
+            col_cnt,
         } = &mut self.ws;
-        // Image the live rows and build the column reverse index. Both
-        // are O(live rows + edges); columns touched here are the only
-        // ones any pass can ever flag, and the only ones reset below.
-        active.clear();
-        active.extend_from_slice(&self.live_rows);
-        debug_assert!(touched_cols.is_empty());
-        for &s in active.iter() {
-            let su = s as usize;
-            work_req[su].clone_from(&self.row_req[su]);
-            work_grant[su].clone_from(&self.row_grant[su]);
-            for &t in &self.row_req[su] {
-                let tu = t as usize;
-                if cnt_req[tu] == 0 && cnt_grant[tu] == 0 {
-                    touched_cols.push(t);
-                }
-                cnt_req[tu] += 1;
-            }
-            for &t in &self.row_grant[su] {
-                let tu = t as usize;
-                if cnt_req[tu] == 0 && cnt_grant[tu] == 0 {
-                    touched_cols.push(t);
-                }
-                cnt_grant[tu] += 1;
-            }
+        live.clone_from(&self.edges);
+        for e in live.iter() {
+            row_cnt[e.row as usize][e.grant as usize] += 1;
+            col_cnt[e.col as usize][e.grant as usize] += 1;
         }
-        let mut edges = self.edges;
         let mut iterations = 0u32;
         let mut steps = 0u32;
-        let complete;
         loop {
             steps += 1;
-            let mut any_terminal = false;
-            // Terminal rows: requests XOR grants (the dense fused row
-            // scan's `ra ^ ga`).
-            for &s in active.iter() {
-                let su = s as usize;
-                let flag = work_req[su].is_empty() != work_grant[su].is_empty();
-                row_terminal[su] = flag;
-                any_terminal |= flag;
-            }
-            // Terminal columns: requests XOR grants across live rows
-            // (the dense column mask `(col_r ^ col_g) & valid`).
-            for &t in touched_cols.iter() {
-                let tu = t as usize;
-                let flag = (cnt_req[tu] > 0) != (cnt_grant[tu] > 0);
-                col_terminal[tu] = flag;
-                any_terminal |= flag;
-            }
-            if !any_terminal {
+            // Split on the counts as they stood at the start of the pass:
+            // an edge goes if either end is terminal in that snapshot.
+            gone.clear();
+            live.retain(|e| {
+                let goes = terminal(row_cnt[e.row as usize]) || terminal(col_cnt[e.col as usize]);
+                if goes {
+                    gone.push(*e);
+                }
+                !goes
+            });
+            if gone.is_empty() {
                 // The no-terminal pass is counted in `steps` (the DDU
-                // spends a clock raising `T_iter = 0`), and completeness
-                // is "no edge survived" — exactly the dense check that
-                // every column accumulator is zero.
-                complete = edges == 0;
+                // spends a clock raising `T_iter = 0`).
                 break;
             }
             iterations += 1;
-            // Removal against the same pre-removal snapshot the flags
-            // were computed from: terminal rows drop whole rows,
-            // non-terminal rows drop only their terminal-column cells.
-            for &s in active.iter() {
-                let su = s as usize;
-                if row_terminal[su] {
-                    for &t in &work_req[su] {
-                        cnt_req[t as usize] -= 1;
-                    }
-                    for &t in &work_grant[su] {
-                        cnt_grant[t as usize] -= 1;
-                    }
-                    edges -= (work_req[su].len() + work_grant[su].len()) as u64;
-                    work_req[su].clear();
-                    work_grant[su].clear();
-                } else {
-                    let mut removed = 0u64;
-                    work_req[su].retain(|&t| {
-                        let tu = t as usize;
-                        if col_terminal[tu] {
-                            cnt_req[tu] -= 1;
-                            removed += 1;
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    work_grant[su].retain(|&t| {
-                        let tu = t as usize;
-                        if col_terminal[tu] {
-                            cnt_grant[tu] -= 1;
-                            removed += 1;
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    edges -= removed;
-                }
+            for e in gone.iter() {
+                row_cnt[e.row as usize][e.grant as usize] -= 1;
+                col_cnt[e.col as usize][e.grant as usize] -= 1;
             }
-            active.retain(|&s| {
-                let su = s as usize;
-                !work_req[su].is_empty() || !work_grant[su].is_empty()
-            });
         }
-        // Reset the column workspace through the touched list so the
-        // next probe starts clean in O(touched), never O(n).
-        for &t in touched_cols.iter() {
-            let tu = t as usize;
-            cnt_req[tu] = 0;
-            cnt_grant[tu] = 0;
-            col_terminal[tu] = false;
+        // Gone edges took their counts to zero; zero what the survivors
+        // still hold so the next probe starts clean in O(survivors).
+        for e in live.iter() {
+            row_cnt[e.row as usize] = [0; 2];
+            col_cnt[e.col as usize] = [0; 2];
         }
-        touched_cols.clear();
         ReductionReport {
             iterations,
             steps,
-            complete,
+            complete: live.is_empty(),
         }
     }
 
@@ -561,6 +486,22 @@ mod tests {
         (mat, sp)
     }
 
+    /// The `par_equivalence` peel chain in both encodings: row `s` is
+    /// granted to process `s` and requested by process `s + 1`.
+    fn peel_pair(m: usize, n: usize) -> (StateMatrix, SparseState) {
+        let mut mat = StateMatrix::new(m, n);
+        let mut sp = SparseState::new(m, n);
+        for s in 0..m {
+            mat.set_grant(ResId(s as u16), ProcId((s % n) as u16));
+            sp.set_grant(s, s % n);
+            if s + 1 < m {
+                mat.set_request(ProcId(((s + 1) % n) as u16), ResId(s as u16));
+                sp.set_request((s + 1) % n, s);
+            }
+        }
+        (mat, sp)
+    }
+
     #[test]
     fn cell_semantics_match_state_matrix() {
         for seq in 0..6u64 {
@@ -593,6 +534,23 @@ mod tests {
             assert_eq!(sp.reduce(), sparse, "seq {seq}: second probe diverged");
             assert_eq!(mat.edge_count() as u64, sp.live_edges(), "seq {seq}");
         }
+        // A deep reduction: the peel chain R299→P299→R298→…→R0→P0 loses
+        // one edge at each end per pass, 300 removing passes plus the
+        // counted empty one.
+        let (mat, mut sp) = peel_pair(300, 300);
+        let dense = terminal_reduction(&mut mat.clone());
+        let sparse = sp.reduce();
+        assert_eq!(dense, sparse, "peel 300x300: reports diverged");
+        assert_eq!(
+            sparse,
+            ReductionReport {
+                iterations: 300,
+                steps: 301,
+                complete: true
+            },
+            "peel 300x300"
+        );
+        assert_eq!(sp.reduce(), sparse, "peel 300x300: second probe diverged");
     }
 
     #[test]
