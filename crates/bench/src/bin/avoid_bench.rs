@@ -1,7 +1,8 @@
 //! Broker sweep: avoidance-off vs metered vs fast-path throughput, plus
 //! the waiter-wakeup latency distribution of blocked acquires.
 //!
-//! Four drives against one live service:
+//! Four drives against one live runtime through its in-process
+//! [`Client`], plus one over the wire:
 //!
 //! * **probe** — a plain detection session fed random edit/probe
 //!   batches: the pre-broker baseline.
@@ -30,8 +31,8 @@ use std::time::Instant;
 
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{
-    AvoidanceMode, Client, CoreConfig, CoreRuntime, Event, Request, Response, Service,
-    ServiceConfig, ServiceError, SessionId, TcpClient,
+    AvoidanceMode, Client, CoreConfig, CoreRuntime, Event, Request, Response, ServiceError,
+    SessionId, TcpClient,
 };
 use deltaos_sim::Histogram;
 use rand::{Rng, SeedableRng, StdRng};
@@ -67,14 +68,8 @@ const SMOKE: Drive = Drive {
     reps: 1,
 };
 
-fn retry<T>(mut f: impl FnMut() -> Result<T, ServiceError>) -> T {
-    loop {
-        match f() {
-            Ok(v) => return v,
-            Err(ServiceError::Busy) => std::thread::yield_now(),
-            Err(e) => panic!("service call failed: {e}"),
-        }
-    }
+fn ok<T>(result: Result<T, ServiceError>) -> T {
+    result.unwrap_or_else(|e| panic!("service call failed: {e}"))
 }
 
 /// One random session event; ids in-range for `dims`×`dims`.
@@ -100,7 +95,7 @@ fn edit_probe_run(client: &Client, sid: SessionId, drive: &Drive) -> f64 {
             .map(|_| random_event(&mut rng, drive.dims))
             .collect();
         events += batch.len() as u64;
-        retry(|| client.batch(sid, batch.clone()));
+        ok(client.batch(sid, batch));
     }
     events as f64 / t0.elapsed().as_secs_f64()
 }
@@ -116,10 +111,10 @@ fn broker_run(client: &Client, sid: SessionId, drive: &Drive) -> f64 {
     for _ in 0..drive.commands {
         if !held.is_empty() && rng.gen_range(0..3u32) == 0 {
             let (pi, qi) = held.swap_remove(rng.gen_range(0..held.len()));
-            retry(|| client.broker_release(sid, ProcId(pi), ResId(qi)));
+            ok(client.broker_release(sid, ProcId(pi), ResId(qi)));
         } else {
             let (pi, qi) = (rng.gen_range(0..dims), rng.gen_range(0..dims));
-            let resp = retry(|| client.acquire(sid, ProcId(pi), ResId(qi), false));
+            let resp = ok(client.acquire(sid, ProcId(pi), ResId(qi), false));
             if matches!(resp, Response::Granted { .. }) {
                 held.push((pi, qi));
             }
@@ -132,10 +127,10 @@ fn broker_run(client: &Client, sid: SessionId, drive: &Drive) -> f64 {
 /// `q0` as `p0`, a waiter thread parks `Acquire(p1, q0, wait = true)`,
 /// and each sample times the main thread's release against the waiter's
 /// grant receipt.
-fn wakeup_run(service: &Service, drive: &Drive) -> Histogram {
+fn wakeup_run(service: &CoreRuntime, drive: &Drive) -> Histogram {
     let client = service.client();
-    let sid = retry(|| client.open_avoid(2, 2, AvoidanceMode::FastPath));
-    retry(|| client.acquire(sid, ProcId(0), ResId(0), false));
+    let sid = ok(client.open_avoid(2, 2, AvoidanceMode::FastPath));
+    ok(client.acquire(sid, ProcId(0), ResId(0), false));
 
     let barrier = Arc::new(Barrier::new(2));
     let stop = Arc::new(AtomicBool::new(false));
@@ -150,11 +145,11 @@ fn wakeup_run(service: &Service, drive: &Drive) -> Histogram {
                 return;
             }
             // Parks until the main thread's release pushes the grant.
-            retry(|| client.acquire(sid, ProcId(1), ResId(0), true));
+            ok(client.acquire(sid, ProcId(1), ResId(0), true));
             tx.send(Instant::now()).unwrap();
             // Hand the resource back; the main thread's own waiting
             // acquire takes it over for the next round.
-            retry(|| client.broker_release(sid, ProcId(1), ResId(0)));
+            ok(client.broker_release(sid, ProcId(1), ResId(0)));
         })
     };
 
@@ -164,7 +159,7 @@ fn wakeup_run(service: &Service, drive: &Drive) -> Histogram {
         // The release must arbitrate over a *queued* waiter, not an
         // empty table — wait until the shard reports it.
         loop {
-            let waiting: u64 = retry(|| client.stats())
+            let waiting: u64 = ok(client.stats())
                 .iter()
                 .map(|s| s.counter("service.broker_waiters"))
                 .sum();
@@ -174,17 +169,17 @@ fn wakeup_run(service: &Service, drive: &Drive) -> Histogram {
             std::thread::yield_now();
         }
         let t0 = Instant::now();
-        retry(|| client.broker_release(sid, ProcId(0), ResId(0)));
+        ok(client.broker_release(sid, ProcId(0), ResId(0)));
         let granted_at = rx.recv().unwrap();
         hist.record(granted_at.duration_since(t0).as_nanos() as u64);
         // Reclaim the resource for the next round (blocks until the
         // waiter thread's hand-back if it has not happened yet).
-        retry(|| client.acquire(sid, ProcId(0), ResId(0), true));
+        ok(client.acquire(sid, ProcId(0), ResId(0), true));
     }
     stop.store(true, Ordering::Release);
     barrier.wait();
     waiter.join().expect("waiter thread panicked");
-    retry(|| client.close(sid));
+    ok(client.close(sid));
     hist
 }
 
@@ -335,15 +330,22 @@ fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
 }
 
 fn run(drive: &Drive) -> Outcome {
-    let service = Service::start(ServiceConfig::default());
+    let service = CoreRuntime::bind(
+        "127.0.0.1:0",
+        CoreConfig {
+            shards: 4,
+            ..CoreConfig::default()
+        },
+    )
+    .expect("bind runtime");
     let client = service.client();
 
     // The off-vs-probe comparison feeds a 5% acceptance gate, so the
     // two must see the same machine: both sessions stay open and the
     // reps interleave (after one discarded warmup each) so frequency
     // and cache drift hit both sides equally.
-    let plain = retry(|| client.open(drive.dims, drive.dims));
-    let off = retry(|| client.open_avoid(drive.dims, drive.dims, AvoidanceMode::Off));
+    let plain = ok(client.open(drive.dims, drive.dims));
+    let off = ok(client.open_avoid(drive.dims, drive.dims, AvoidanceMode::Off));
     edit_probe_run(&client, plain, drive);
     edit_probe_run(&client, off, drive);
     let mut probe_eps = 0.0f64;
@@ -352,21 +354,21 @@ fn run(drive: &Drive) -> Outcome {
         probe_eps = probe_eps.max(edit_probe_run(&client, plain, drive));
         off_eps = off_eps.max(edit_probe_run(&client, off, drive));
     }
-    retry(|| client.close(plain));
-    retry(|| client.close(off));
+    ok(client.close(plain));
+    ok(client.close(off));
 
-    let metered = retry(|| client.open_avoid(drive.dims, drive.dims, AvoidanceMode::Metered));
+    let metered = ok(client.open_avoid(drive.dims, drive.dims, AvoidanceMode::Metered));
     let metered_cps = best_of(drive.reps, || broker_run(&client, metered, drive));
-    retry(|| client.close(metered));
+    ok(client.close(metered));
 
-    let fast = retry(|| client.open_avoid(drive.dims, drive.dims, AvoidanceMode::FastPath));
+    let fast = ok(client.open_avoid(drive.dims, drive.dims, AvoidanceMode::FastPath));
     let fastpath_cps = best_of(drive.reps, || broker_run(&client, fast, drive));
-    retry(|| client.close(fast));
+    ok(client.close(fast));
 
     let wakeup = wakeup_run(&service, drive);
     let wire_wakeup = wire_wakeup_run(drive);
 
-    let per_shard = service.shutdown();
+    let per_shard = service.stop();
     let mut grants = 0u64;
     let mut deferrals = 0u64;
     for s in &per_shard {

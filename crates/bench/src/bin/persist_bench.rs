@@ -5,10 +5,11 @@
 //!
 //! 1. **What does the WAL cost?** Aggregate throughput with durability
 //!    off versus on under each [`FsyncPolicy`] (`Os`, group-commit
-//!    `EveryN(32)`, `Always`). The acceptance gate requires group commit
-//!    to keep ≥ 50% of the WAL-off throughput — armed only on hosts
-//!    with ≥ 4 CPUs (below that the ratio is recorded but not enforced,
-//!    since client threads and shard workers fight for cores).
+//!    `EveryN(32)`, `Always`), driven through the runtime's in-process
+//!    [`Client`](deltaos_service::Client). The acceptance gate requires
+//!    group commit to keep ≥ 50% of the WAL-off throughput — armed only
+//!    on hosts with ≥ 4 CPUs (below that the ratio is recorded but not
+//!    enforced, since client threads and core loops fight for cores).
 //! 2. **How fast is recovery?** Cold-start time and replayed-record
 //!    counts for the same workload at different checkpoint intervals —
 //!    from "pure WAL replay" down to tight compaction.
@@ -23,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use deltaos_core::{ProcId, ResId};
-use deltaos_service::{DurabilityConfig, Event, FsyncPolicy, Service, ServiceConfig, ServiceError};
+use deltaos_service::{CoreConfig, CoreRuntime, DurabilityConfig, Event, FsyncPolicy};
 use deltaos_sim::Stats;
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -89,11 +90,11 @@ fn random_event(rng: &mut StdRng, dims: u16) -> Event {
 
 /// Drives the workload through `clients` threads with **async
 /// pipelining**: each round fans a batch out to every session before
-/// collecting any reply, so the shard queues hold concurrent durable
+/// collecting any reply, so the loops' inboxes hold concurrent durable
 /// work — the group-commit scheduler needs in-flight depth to batch
 /// fsyncs (a strictly blocking client would degenerate to one flush per
 /// op). Returns wall seconds.
-fn drive_clients_pipelined(service: &Service, drive: &Drive) -> f64 {
+fn drive_clients_pipelined(service: &CoreRuntime, drive: &Drive) -> f64 {
     assert_eq!(drive.sessions % drive.clients, 0);
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -105,8 +106,8 @@ fn drive_clients_pipelined(service: &Service, drive: &Drive) -> f64 {
                 let sids: Vec<_> = (0..per_thread)
                     .map(|_| client.open(drive.dims, drive.dims).expect("open session"))
                     .collect();
-                // Sliding window several rounds deep: the shard queues
-                // must stay non-empty for the scheduler to see batchable
+                // Sliding window several rounds deep: the inboxes must
+                // stay non-empty for the scheduler to see batchable
                 // depth instead of idle-flushing after every record.
                 let window = 4 * sids.len();
                 let mut pending = std::collections::VecDeque::with_capacity(window);
@@ -115,29 +116,21 @@ fn drive_clients_pipelined(service: &Service, drive: &Drive) -> f64 {
                         let batch: Vec<Event> = (0..drive.edits_per_round)
                             .map(|_| random_event(&mut rng, drive.dims))
                             .collect();
-                        loop {
-                            match client.batch_async(sid, batch.clone()) {
-                                Ok(rx) => {
-                                    pending.push_back(rx);
-                                    break;
-                                }
-                                Err(ServiceError::Busy) => std::thread::yield_now(),
-                                Err(e) => panic!("batch submit failed: {e}"),
-                            }
+                        match client.batch_async(sid, batch) {
+                            Ok(reply) => pending.push_back(reply),
+                            Err(e) => panic!("batch submit failed: {e}"),
                         }
                         while pending.len() >= window {
-                            let rx = pending.pop_front().expect("non-empty window");
-                            match rx.recv().expect("shard alive") {
-                                Ok(_) => {}
-                                Err(e) => panic!("batch failed: {e}"),
+                            let reply = pending.pop_front().expect("non-empty window");
+                            if let Err(e) = reply.wait() {
+                                panic!("batch failed: {e}");
                             }
                         }
                     }
                 }
-                for rx in pending {
-                    match rx.recv().expect("shard alive") {
-                        Ok(_) => {}
-                        Err(e) => panic!("batch failed: {e}"),
+                for reply in pending {
+                    if let Err(e) = reply.wait() {
+                        panic!("batch failed: {e}");
                     }
                 }
             });
@@ -147,7 +140,7 @@ fn drive_clients_pipelined(service: &Service, drive: &Drive) -> f64 {
 }
 
 /// Drives the workload through `clients` threads; returns wall seconds.
-fn drive_clients(service: &Service, drive: &Drive) -> f64 {
+fn drive_clients(service: &CoreRuntime, drive: &Drive) -> f64 {
     assert_eq!(drive.sessions % drive.clients, 0);
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -164,12 +157,8 @@ fn drive_clients(service: &Service, drive: &Drive) -> f64 {
                         let batch: Vec<Event> = (0..drive.edits_per_round)
                             .map(|_| random_event(&mut rng, drive.dims))
                             .collect();
-                        loop {
-                            match client.batch(sid, batch.clone()) {
-                                Ok(_) => break,
-                                Err(ServiceError::Busy) => std::thread::yield_now(),
-                                Err(e) => panic!("batch failed: {e}"),
-                            }
+                        if let Err(e) = client.batch(sid, batch) {
+                            panic!("batch failed: {e}");
                         }
                     }
                 }
@@ -203,14 +192,18 @@ impl RunOut {
     }
 }
 
-fn run(config: ServiceConfig, drive: &Drive, pipelined: bool) -> RunOut {
-    let service = Service::start(config);
+fn start(config: CoreConfig) -> CoreRuntime {
+    CoreRuntime::bind("127.0.0.1:0", config).expect("bind runtime")
+}
+
+fn run(config: CoreConfig, drive: &Drive, pipelined: bool) -> RunOut {
+    let service = start(config);
     let elapsed_secs = if pipelined {
         drive_clients_pipelined(&service, drive)
     } else {
         drive_clients(&service, drive)
     };
-    let per_shard = service.shutdown();
+    let per_shard = service.stop();
     let mut events = 0;
     let mut wal_records = 0;
     let mut commits = 0;
@@ -258,8 +251,9 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn durable_config(drive: &Drive, dir: &Path, fsync: FsyncPolicy, ckpt_every: u64) -> ServiceConfig {
-    ServiceConfig {
+fn durable_config(drive: &Drive, dir: &Path, fsync: FsyncPolicy, ckpt_every: u64) -> CoreConfig {
+    CoreConfig {
+        loops: drive.shards,
         shards: drive.shards,
         durability: Some(DurabilityConfig {
             dir: dir.to_path_buf(),
@@ -270,7 +264,7 @@ fn durable_config(drive: &Drive, dir: &Path, fsync: FsyncPolicy, ckpt_every: u64
             checkpoint_on_shutdown: false,
             repl_ack: false,
         }),
-        ..ServiceConfig::default()
+        ..CoreConfig::default()
     }
 }
 
@@ -282,9 +276,9 @@ struct Recovered {
     recovered_sessions: u64,
 }
 
-fn restart_and_verify(config: ServiceConfig, live: &RunOut) -> Recovered {
+fn restart_and_verify(config: CoreConfig, live: &RunOut) -> Recovered {
     let t0 = Instant::now();
-    let service = Service::start(config);
+    let service = start(config);
     let recovery_secs = t0.elapsed().as_secs_f64();
     let replayed_records = service.recovery().iter().map(|r| r.replayed_records).sum();
     let recovered_sessions = service.recovery().iter().map(|r| r.live_sessions).sum();
@@ -296,7 +290,7 @@ fn restart_and_verify(config: ServiceConfig, live: &RunOut) -> Recovered {
             "shard {shard}: recovery is not bit-identical to the live run"
         );
     }
-    service.shutdown();
+    service.stop();
     Recovered {
         recovery_secs,
         replayed_records,
@@ -338,9 +332,10 @@ fn main() {
 
     // --- 1. Throughput: WAL off, then each fsync policy. -------------
     let baseline = run(
-        ServiceConfig {
+        CoreConfig {
+            loops: drive.shards,
             shards: drive.shards,
-            ..ServiceConfig::default()
+            ..CoreConfig::default()
         },
         drive,
         false,

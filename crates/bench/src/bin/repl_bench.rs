@@ -30,12 +30,16 @@ use std::time::{Duration, Instant};
 use deltaos_cluster::{ClusterClient, ClusterConfig};
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{
-    DurabilityConfig, Event, FsyncPolicy, ReplicaTailer, Response, Service, ServiceConfig,
-    ServiceError, SessionId, TailerConfig, TcpServer,
+    CoreConfig, CoreRuntime, DurabilityConfig, Event, FsyncPolicy, ReplicaTailer, Response,
+    SessionId, TailerConfig,
 };
 use rand::{Rng, SeedableRng, StdRng};
 
 const SHARDS: usize = 2;
+
+fn start(config: CoreConfig) -> CoreRuntime {
+    CoreRuntime::bind("127.0.0.1:0", config).expect("bind runtime")
+}
 const DIMS: u16 = 24;
 const HEARTBEAT_MS: u64 = 150;
 
@@ -133,21 +137,20 @@ struct LagResult {
 fn run_lag(drive: &Drive) -> LagResult {
     let pdir = tmp("lag-primary");
     let fdir = tmp("lag-follower");
-    let primary = Service::start(ServiceConfig {
+    let primary = start(CoreConfig {
         shards: SHARDS,
         durability: Some(durable(&pdir)),
-        ..ServiceConfig::default()
+        ..CoreConfig::default()
     });
-    let psrv = TcpServer::bind("127.0.0.1:0", primary.client()).expect("bind primary");
-    let follower = Service::start(ServiceConfig {
+    let follower = start(CoreConfig {
         shards: SHARDS,
         replica: true,
         durability: Some(durable(&fdir)),
-        ..ServiceConfig::default()
+        ..CoreConfig::default()
     });
     let tailer = ReplicaTailer::start(
         follower.client(),
-        TailerConfig::new(psrv.local_addr(), SHARDS as u16),
+        TailerConfig::new(primary.local_addr(), SHARDS as u16),
     );
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -164,9 +167,8 @@ fn run_lag(drive: &Drive) -> LagResult {
                 while !stop.load(Ordering::Acquire) {
                     for &sid in &sids {
                         let batch: Vec<Event> = (0..edits).map(|_| random_edit(&mut rng)).collect();
-                        match client.batch(sid, batch) {
-                            Ok(_) | Err(ServiceError::Busy) => {}
-                            Err(e) => panic!("lag writer batch failed: {e}"),
+                        if let Err(e) = client.batch(sid, batch) {
+                            panic!("lag writer batch failed: {e}");
                         }
                     }
                 }
@@ -193,9 +195,8 @@ fn run_lag(drive: &Drive) -> LagResult {
         w.join().expect("writer");
     }
     let report = tailer.stop();
-    psrv.stop();
-    primary.shutdown();
-    follower.shutdown();
+    primary.stop();
+    follower.stop();
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&fdir);
 
@@ -214,24 +215,23 @@ fn run_lag(drive: &Drive) -> LagResult {
 fn run_failover_trial(trial: usize) -> f64 {
     let pdir = tmp(&format!("fo-primary-{trial}"));
     let fdir = tmp(&format!("fo-follower-{trial}"));
-    let primary = Service::start(ServiceConfig {
+    let primary = start(CoreConfig {
         shards: SHARDS,
         durability: Some(durable(&pdir)),
-        ..ServiceConfig::default()
+        ..CoreConfig::default()
     });
-    let psrv = TcpServer::bind("127.0.0.1:0", primary.client()).expect("bind primary");
-    let follower = Service::start(ServiceConfig {
+    let follower = start(CoreConfig {
         shards: SHARDS,
         replica: true,
         durability: Some(durable(&fdir)),
-        ..ServiceConfig::default()
+        ..CoreConfig::default()
     });
     let tailer = ReplicaTailer::start(
         follower.client(),
         TailerConfig {
             heartbeat_timeout: Duration::from_millis(HEARTBEAT_MS),
             auto_promote: true,
-            ..TailerConfig::new(psrv.local_addr(), SHARDS as u16)
+            ..TailerConfig::new(primary.local_addr(), SHARDS as u16)
         },
     );
 
@@ -258,8 +258,7 @@ fn run_failover_trial(trial: usize) -> f64 {
     // Kill. Shutdown drains in the background so the clock measures the
     // survivor, not the corpse.
     let t0 = Instant::now();
-    psrv.stop();
-    let reaper = std::thread::spawn(move || primary.shutdown());
+    let reaper = std::thread::spawn(move || primary.stop());
     let fc = follower.client();
     let grant = vec![Event::Grant {
         q: ResId(DIMS - 1),
@@ -278,7 +277,7 @@ fn run_failover_trial(trial: usize) -> f64 {
     reaper.join().expect("primary shutdown");
     let report = tailer.stop();
     assert!(report.promoted, "tailer did not auto-promote");
-    follower.shutdown();
+    follower.stop();
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&fdir);
     elapsed_ms
@@ -287,17 +286,15 @@ fn run_failover_trial(trial: usize) -> f64 {
 /// Phase 3: aggregate accepted-event throughput through cluster
 /// front-ends over `nodes` single-shard wire nodes.
 fn run_cluster(nodes: usize, drive: &Drive) -> (u64, f64) {
-    let running: Vec<(Service, TcpServer)> = (0..nodes)
+    let running: Vec<CoreRuntime> = (0..nodes)
         .map(|_| {
-            let service = Service::start(ServiceConfig {
+            start(CoreConfig {
                 shards: 1,
-                ..ServiceConfig::default()
-            });
-            let server = TcpServer::bind("127.0.0.1:0", service.client()).expect("bind node");
-            (service, server)
+                ..CoreConfig::default()
+            })
         })
         .collect();
-    let addrs: Vec<_> = running.iter().map(|n| n.1.local_addr()).collect();
+    let addrs: Vec<_> = running.iter().map(|n| n.local_addr()).collect();
 
     let start = Instant::now();
     let deadline = start + drive.cluster_window;
@@ -336,9 +333,8 @@ fn run_cluster(nodes: usize, drive: &Drive) -> (u64, f64) {
     });
     let elapsed = start.elapsed().as_secs_f64();
 
-    for (service, server) in running {
-        server.stop();
-        service.shutdown();
+    for node in running {
+        node.stop();
     }
     (events, events as f64 / elapsed)
 }

@@ -1,9 +1,10 @@
 //! Multi-client stress drive of the sharded deadlock service.
 //!
 //! N client threads hammer M sessions (64×64 RAGs) through the
-//! in-process [`Client`], mixing edits, detection probes and avoidance
-//! queries — the fleet-scale version of the paper's shared DDU/DAU
-//! serving many PEs. Reports aggregate throughput (events/sec across all
+//! in-process [`Client`](deltaos_service::Client) handle, whose calls
+//! post to the owning core loop's inbox, mixing edits, detection probes
+//! and avoidance queries — the fleet-scale version of the paper's shared
+//! DDU/DAU serving many PEs. Reports aggregate throughput (events/sec across all
 //! shards) and probe round-trip latency (p50/p99 plus the raw bucket
 //! distribution from the sim crate's log-linear histogram — four
 //! sub-buckets per octave, so tail figures resolve to ±25% instead of
@@ -15,7 +16,7 @@
 use std::time::Instant;
 
 use deltaos_core::{ProcId, ResId};
-use deltaos_service::{Event, Service, ServiceConfig, ServiceError};
+use deltaos_service::{CoreConfig, CoreRuntime, Event};
 use deltaos_sim::Histogram;
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -59,7 +60,6 @@ fn random_event(rng: &mut StdRng, dims: u16) -> Event {
 }
 
 struct ClientReport {
-    busy_retries: u64,
     latencies: Histogram,
 }
 
@@ -70,7 +70,6 @@ fn drive_client(client: &deltaos_service::Client, thread_id: usize, drive: &Driv
         .map(|_| client.open(drive.dims, drive.dims).expect("open session"))
         .collect();
     let mut report = ClientReport {
-        busy_retries: 0,
         latencies: Histogram::new(),
     };
     for _ in 0..drive.rounds {
@@ -78,27 +77,13 @@ fn drive_client(client: &deltaos_service::Client, thread_id: usize, drive: &Driv
             let batch: Vec<Event> = (0..drive.edits_per_round)
                 .map(|_| random_event(&mut rng, drive.dims))
                 .collect();
-            loop {
-                match client.batch(sid, batch.clone()) {
-                    Ok(_) => break,
-                    Err(ServiceError::Busy) => {
-                        report.busy_retries += 1;
-                        std::thread::yield_now();
-                    }
-                    Err(e) => panic!("batch failed: {e}"),
-                }
+            if let Err(e) = client.batch(sid, batch) {
+                panic!("batch failed: {e}");
             }
-            // Timed single-probe round trip: enqueue → shard → reply.
+            // Timed single-probe round trip: inbox → owning loop → reply.
             let t0 = Instant::now();
-            loop {
-                match client.batch(sid, vec![Event::Probe]) {
-                    Ok(_) => break,
-                    Err(ServiceError::Busy) => {
-                        report.busy_retries += 1;
-                        std::thread::yield_now();
-                    }
-                    Err(e) => panic!("probe failed: {e}"),
-                }
+            if let Err(e) = client.batch(sid, vec![Event::Probe]) {
+                panic!("probe failed: {e}");
             }
             report.latencies.record(t0.elapsed().as_nanos() as u64);
         }
@@ -110,8 +95,6 @@ struct Outcome {
     events: u64,
     probes: u64,
     cache_hits: u64,
-    busy_retries: u64,
-    max_queue_depth: u64,
     elapsed_secs: f64,
     latencies: Histogram,
 }
@@ -136,11 +119,16 @@ impl Outcome {
 
 fn run(drive: &Drive) -> Outcome {
     assert_eq!(drive.sessions % drive.clients, 0);
-    let service = Service::start(ServiceConfig {
-        shards: drive.shards,
-        queue_cap: 64,
-        ..ServiceConfig::default()
-    });
+    // One loop per shard, so every shard executes on its own thread.
+    let service = CoreRuntime::bind(
+        "127.0.0.1:0",
+        CoreConfig {
+            loops: drive.shards,
+            shards: drive.shards,
+            ..CoreConfig::default()
+        },
+    )
+    .expect("bind runtime");
 
     let start = Instant::now();
     let reports: Vec<ClientReport> = std::thread::scope(|scope| {
@@ -158,30 +146,24 @@ fn run(drive: &Drive) -> Outcome {
     let elapsed_secs = start.elapsed().as_secs_f64();
 
     let mut latencies = Histogram::new();
-    let mut busy_retries = 0u64;
     for r in &reports {
         latencies.merge(&r.latencies);
-        busy_retries += r.busy_retries;
     }
 
-    let per_shard = service.shutdown();
+    let per_shard = service.stop();
     let mut events = 0u64;
     let mut probes = 0u64;
     let mut cache_hits = 0u64;
-    let mut max_queue_depth = 0u64;
     for s in &per_shard {
         events += s.counter("service.events");
         probes += s.counter("service.probes");
         cache_hits += s.counter("service.cache_hits");
-        max_queue_depth = max_queue_depth.max(s.counter("service.queue_depth_max"));
     }
 
     Outcome {
         events,
         probes,
         cache_hits,
-        busy_retries,
-        max_queue_depth,
         elapsed_secs,
         latencies,
     }
@@ -205,10 +187,6 @@ fn report(label: &str, drive: &Drive, o: &Outcome) {
         o.p50_ns(),
         o.p99_ns(),
         o.samples()
-    );
-    println!(
-        "  busy retries {}, max queue depth {} (cap 64 + 1)",
-        o.busy_retries, o.max_queue_depth
     );
 }
 
@@ -234,8 +212,6 @@ fn to_json(drive: &Drive, o: &Outcome, pass: bool) -> String {
             "  \"events_per_sec\": {:.0},\n",
             "  \"probes\": {},\n",
             "  \"cache_hits\": {},\n",
-            "  \"busy_retries\": {},\n",
-            "  \"max_queue_depth\": {},\n",
             "  \"probe_latency_ns\": {{\"p50\": {}, \"p99\": {}, \"samples\": {},\n",
             "    \"buckets\": {}}},\n",
             "  \"acceptance\": {{\"required_events_per_sec\": 100000, \"pass\": {}}}\n",
@@ -252,8 +228,6 @@ fn to_json(drive: &Drive, o: &Outcome, pass: bool) -> String {
         o.events_per_sec(),
         o.probes,
         o.cache_hits,
-        o.busy_retries,
-        o.max_queue_depth,
         o.p50_ns(),
         o.p99_ns(),
         o.samples(),

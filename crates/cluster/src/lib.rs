@@ -3,7 +3,7 @@
 //! One deltaos service process is bounded by its own shard pool. This
 //! crate scales *out*: a [`ClusterClient`] front-end routes sessions
 //! across N independent service processes (each a normal
-//! [`TcpServer`](deltaos_service::TcpServer) over its own store
+//! [`CoreRuntime`](deltaos_service::CoreRuntime) over its own store
 //! directory) by consistent-hashing the cluster-level session id onto a
 //! [`HashRing`] of nodes.
 //!

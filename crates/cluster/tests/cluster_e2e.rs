@@ -1,6 +1,8 @@
-//! End-to-end cluster tests: real `TcpServer` nodes, a [`ClusterClient`]
+//! End-to-end cluster tests: real `CoreRuntime` nodes, a [`ClusterClient`]
 //! front-end routing over them, live-session migration, membership
 //! changes, and failover onto a WAL-streaming follower.
+
+#![cfg(unix)]
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -9,8 +11,8 @@ use std::time::{Duration, Instant};
 use deltaos_cluster::{ClusterClient, ClusterConfig, ClusterError, ClusterSession};
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{
-    DurabilityConfig, Event, EventResult, FsyncPolicy, ReplicaTailer, Service, ServiceConfig,
-    TailerConfig, TcpServer,
+    CoreConfig, CoreRuntime, DurabilityConfig, Event, EventResult, FsyncPolicy, ReplicaTailer,
+    TailerConfig,
 };
 
 const SHARDS: usize = 2;
@@ -21,20 +23,23 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
-/// One memory-only node: service + wire server.
-fn mem_node() -> (Service, TcpServer, SocketAddr) {
-    let service = Service::start(ServiceConfig {
-        shards: SHARDS,
-        ..ServiceConfig::default()
-    });
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).expect("bind node");
-    let addr = server.local_addr();
-    (service, server, addr)
+/// One memory-only node.
+fn mem_node() -> (CoreRuntime, SocketAddr) {
+    let node = CoreRuntime::bind(
+        "127.0.0.1:0",
+        CoreConfig {
+            shards: SHARDS,
+            ..CoreConfig::default()
+        },
+    )
+    .expect("bind node");
+    let addr = node.local_addr();
+    (node, addr)
 }
 
 /// One durable node rooted at `dir`, optionally a replica.
-fn durable_node(dir: &Path, replica: bool) -> (Service, TcpServer, SocketAddr) {
-    let service = Service::start(ServiceConfig {
+fn durable_node(dir: &Path, replica: bool) -> (CoreRuntime, SocketAddr) {
+    let config = CoreConfig {
         shards: SHARDS,
         replica,
         durability: Some(DurabilityConfig {
@@ -44,11 +49,11 @@ fn durable_node(dir: &Path, replica: bool) -> (Service, TcpServer, SocketAddr) {
             checkpoint_on_shutdown: false,
             repl_ack: false,
         }),
-        ..ServiceConfig::default()
-    });
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).expect("bind node");
-    let addr = server.local_addr();
-    (service, server, addr)
+        ..CoreConfig::default()
+    };
+    let node = CoreRuntime::bind("127.0.0.1:0", config).expect("bind node");
+    let addr = node.local_addr();
+    (node, addr)
 }
 
 /// Two grants and a request so that `WouldDeadlock(p1 → r0)` closes a
@@ -89,7 +94,7 @@ fn probe_deadlock(cc: &mut ClusterClient, sid: ClusterSession, p: u16) -> bool {
 #[test]
 fn routes_sessions_across_all_nodes() {
     let nodes: Vec<_> = (0..3).map(|_| mem_node()).collect();
-    let addrs = nodes.iter().map(|n| n.2).collect();
+    let addrs = nodes.iter().map(|n| n.1).collect();
     let mut cc = ClusterClient::new(ClusterConfig::new(addrs, SHARDS as u16));
 
     let mut sids = Vec::new();
@@ -117,16 +122,15 @@ fn routes_sessions_across_all_nodes() {
         cc.close(sid).expect("close");
     }
 
-    for (service, server, _) in nodes {
-        server.stop();
-        service.shutdown();
+    for (node, _) in nodes {
+        node.stop();
     }
 }
 
 #[test]
 fn migration_preserves_live_state() {
-    let (s0, srv0, a0) = mem_node();
-    let (s1, srv1, a1) = mem_node();
+    let (s0, a0) = mem_node();
+    let (s1, a1) = mem_node();
     let mut cc = ClusterClient::new(ClusterConfig::new(vec![a0, a1], SHARDS as u16));
 
     let sid = cc.open(8, 8).expect("open");
@@ -161,17 +165,15 @@ fn migration_preserves_live_state() {
         Err(ClusterError::UnknownSession)
     ));
 
-    srv0.stop();
-    srv1.stop();
-    s0.shutdown();
-    s1.shutdown();
+    s0.stop();
+    s1.stop();
 }
 
 #[test]
 fn rebalance_moves_only_remapped_sessions() {
-    let (s0, srv0, a0) = mem_node();
-    let (s1, srv1, a1) = mem_node();
-    let (s2, srv2, a2) = mem_node();
+    let (s0, a0) = mem_node();
+    let (s1, a1) = mem_node();
+    let (s2, a2) = mem_node();
     let mut cc = ClusterClient::new(ClusterConfig::new(vec![a0, a1], SHARDS as u16));
 
     let sids: Vec<_> = (0..40).map(|_| cc.open(8, 8).expect("open")).collect();
@@ -209,20 +211,17 @@ fn rebalance_moves_only_remapped_sessions() {
         assert!(probe_deadlock(&mut cc, sid, 1));
     }
 
-    srv0.stop();
-    srv1.stop();
-    srv2.stop();
-    s0.shutdown();
-    s1.shutdown();
-    s2.shutdown();
+    s0.stop();
+    s1.stop();
+    s2.stop();
 }
 
 #[test]
 fn fail_over_promotes_wal_follower() {
     let pdir = tmp("failover-primary");
     let fdir = tmp("failover-follower");
-    let (primary, psrv, paddr) = durable_node(&pdir, false);
-    let (follower, fsrv, faddr) = durable_node(&fdir, true);
+    let (primary, paddr) = durable_node(&pdir, false);
+    let (follower, faddr) = durable_node(&fdir, true);
 
     let mut cc = ClusterClient::new(ClusterConfig::new(vec![paddr], SHARDS as u16));
     let standby = cc.add_standby(faddr);
@@ -261,8 +260,7 @@ fn fail_over_promotes_wal_follower() {
     assert!(!probe_on_standby.primary);
 
     // Primary dies; the front-end fails over to the follower.
-    psrv.stop();
-    primary.shutdown();
+    primary.stop();
     let repointed = cc.fail_over(0, standby).expect("fail over");
     assert_eq!(repointed, sids.len());
 
@@ -294,8 +292,7 @@ fn fail_over_promotes_wal_follower() {
     assert_eq!(cc.placement(fresh).unwrap().node, standby);
     cc.close(fresh).expect("close");
 
-    fsrv.stop();
-    follower.shutdown();
+    follower.stop();
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&fdir);
 }

@@ -9,6 +9,8 @@
 //! queue rides the snapshot, so post-migration releases on the target
 //! still arbitrate over every waiter that was queued at the cut.
 
+#![cfg(unix)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,25 +19,23 @@ use deltaos_cluster::{ClusterClient, ClusterConfig};
 use deltaos_core::avoid::ReleaseOutcome;
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{
-    AvoidanceMode, ErrorCode, Event, Request, Response, Service, ServiceConfig, TcpClient,
-    TcpServer,
+    AvoidanceMode, CoreConfig, CoreRuntime, ErrorCode, Event, Request, Response, TcpClient,
 };
 
 const SHARDS: usize = 2;
 
 #[test]
 fn migration_under_load_preserves_broker_waiters() {
-    let nodes: Vec<(Service, TcpServer)> = (0..2)
+    let nodes: Vec<CoreRuntime> = (0..2)
         .map(|_| {
-            let service = Service::start(ServiceConfig {
+            let config = CoreConfig {
                 shards: SHARDS,
-                ..ServiceConfig::default()
-            });
-            let server = TcpServer::bind("127.0.0.1:0", service.client()).expect("bind node");
-            (service, server)
+                ..CoreConfig::default()
+            };
+            CoreRuntime::bind("127.0.0.1:0", config).expect("bind node")
         })
         .collect();
-    let addrs: Vec<_> = nodes.iter().map(|n| n.1.local_addr()).collect();
+    let addrs: Vec<_> = nodes.iter().map(|n| n.local_addr()).collect();
     let mut cc = ClusterClient::new(ClusterConfig::new(addrs.clone(), SHARDS as u16));
 
     // The broker session under test: p0 owns r0, p1 queued behind it.
@@ -144,8 +144,7 @@ fn migration_under_load_preserves_broker_waiters() {
     }
 
     cc.close(sid).expect("close");
-    for (service, server) in nodes {
-        server.stop();
-        service.shutdown();
+    for node in nodes {
+        node.stop();
     }
 }

@@ -7,7 +7,7 @@
 //! reported cycles). Every brokered command returns both the wire
 //! [`Response`] for the caller *and* the list of `(process, resource)`
 //! grants the command fixed as a side effect, drained from the avoider's
-//! grant log. The shard worker uses that list to wake blocked `Acquire`
+//! grant log. The owning shard uses that list to wake blocked `Acquire`
 //! reply slots — the broker itself stays connection-agnostic and fully
 //! deterministic, which is what makes WAL replay reconstruct it
 //! bit-identically.
@@ -62,7 +62,7 @@ pub struct Broker {
 impl Broker {
     /// Creates a broker for a `resources` × `processes` session.
     /// `metered` picks the software-DAA engine; otherwise the fast path
-    /// shares the shard worker's reduction pool like any detect engine.
+    /// shares the owning loop's reduction pool like any detect engine.
     pub fn new(
         resources: u16,
         processes: u16,

@@ -1,18 +1,15 @@
-//! Shared-nothing thread-per-core runtime: the event-loop front-end and
-//! the shard workers fused into N pinned per-core loops.
+//! Shared-nothing thread-per-core runtime: the service's only server and
+//! only shard executor, N pinned per-core loops that each own a set of
+//! shards outright.
 //!
-//! The PR-4 front-end still pays a partitioning tax: every request
-//! crosses threads twice (loop thread → shard worker over a
-//! `sync_channel`, reply back through `try_recv` polling), and whenever
-//! replies are outstanding the loop degrades to a 1 ms poll tick. The
-//! paper's argument — move the deadlock unit next to the execution
-//! resource and the crossing overhead disappears — applies in software
-//! too: here each loop *owns* a set of shards ([`ShardCore`]s) and runs
+//! The paper moves the deadlock unit next to the processors because
+//! crossing a partition costs more than the check itself. The same holds
+//! in software: each loop *owns* its shards (`ShardCore`s) and runs
 //! their `DetectEngine`s, broker waiter tables and durability logging
 //! **inline** on the loop thread. A request whose session lives on the
 //! serving loop is decoded, executed and answered without any
-//! cross-thread hand-off; there is no request queue, no reply channel,
-//! and no poll tick of any kind.
+//! cross-thread hand-off; there is no request queue and no poll tick of
+//! any kind.
 //!
 //! Routing follows shard ownership (`session_id % shards`, shard `s`
 //! owned by loop `s % loops`):
@@ -30,15 +27,18 @@
 //!   executes inline and sends the reply back the same way. Every
 //!   enqueue writes one byte to the receiving loop's self-pipe, so
 //!   loops block in `poll(2)` with **no timeout** and are woken
-//!   exactly when work arrives — the 1 ms degraded tick is gone even
-//!   on forwarded paths ([`CoreStats::busy_poll_ticks`] asserts it).
+//!   exactly when work arrives ([`CoreStats::busy_poll_ticks`] asserts
+//!   it).
+//! * **In-process calls** — a [`Client`] (from [`CoreRuntime::client`])
+//!   builds the same `ExecJob` a wire request does and posts it to the
+//!   owning loop's inbox, the path cross-core forwards take; the caller
+//!   blocks on a one-shot channel. Wire and in-process requests share
+//!   one waiter table and one group-commit scheduler per shard.
 //!
-//! Observable semantics are identical to `EvServer` + worker shards:
-//! pipelined submission-order replies per connection, in-band
+//! Per connection: pipelined submission-order replies, in-band
 //! [`Response::Busy`] past the pipeline cap, idle/slow-loris reaping,
-//! broker blocked-grant push (grants cross loops as messages instead of
-//! channel sends), and WAL/checkpoint durability with bit-identical
-//! recovery.
+//! broker blocked-grant push (grants cross loops as messages), and
+//! WAL/checkpoint durability with bit-identical recovery.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -52,22 +52,20 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use deltaos_core::par::{self, ParConfig, WorkerPool};
+use deltaos_core::{Priority, ProcId, ResId};
 use deltaos_sim::Stats;
 
 use crate::durable::{DurabilityConfig, RecoveryInfo};
-use crate::evloop::{error_response, sys, Counters, FrameBuf, ReadOutcome};
 use crate::proto::{
-    decode_request, encode_response_into, AvoidanceMode, CoreStats, ErrorCode, Event,
-    FrontendStats, Request, Response, SessionId, MAX_FRAME,
+    decode_request, encode_response_into, AvoidanceMode, CoreStats, ErrorCode, Event, EventResult,
+    FrontendStats, Request, Response, SessionId, ShardStats, MAX_FRAME,
 };
 use crate::shard::{BrokerCmd, ServiceError, ShardCore};
-use crate::tcp::stats_rows;
+use crate::transport::{sys, Counters, FrameBuf, ReadOutcome, READ_CHUNK};
 
-/// Thread-per-core runtime construction parameters. The front-end knobs
-/// (`max_pipeline`, `max_write_buf`, timeouts) mean exactly what they
-/// mean on [`crate::evloop::EvConfig`]; the shard knobs mean what they
-/// mean on [`crate::ServiceConfig`] — minus `queue_cap`, because the
-/// fused runtime has no request queue to bound.
+/// Runtime construction parameters — the service's one configuration:
+/// loop topology, shard admission control, durability and the
+/// per-connection front-end limits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Pinned loop threads; `0` auto-sizes to the host CPUs (1..=8).
@@ -88,12 +86,16 @@ pub struct CoreConfig {
     pub par: ParConfig,
     /// Pin loop `i` to CPU `i` (a placement hint, like everywhere else).
     pub pin_cpus: bool,
-    /// Durability: per-shard WAL + checkpoints, recovered before the
-    /// acceptor starts.
+    /// Durability: `Some` gives every shard a write-ahead log +
+    /// checkpoint store under [`DurabilityConfig::dir`] and makes
+    /// [`CoreRuntime::bind`] recover whatever a previous incarnation left
+    /// there before the acceptor starts. `None` (the default) is the
+    /// memory-only service.
     pub durability: Option<DurabilityConfig>,
-    /// Start every shard as a read-only replica (see
-    /// [`crate::ServiceConfig::replica`]): mutations answer
-    /// `ReadOnlyReplica` until a `Promote` lands.
+    /// Start every shard as a read-only replica: mutations answer
+    /// `ReadOnlyReplica` and state advances only through
+    /// [`Client::repl_apply`] feeding it the primary's WAL records, until
+    /// a `Promote` under a strictly larger epoch lands.
     pub replica: bool,
     /// Maximum in-flight requests per connection; overflow answers
     /// [`Response::Busy`] in-band.
@@ -191,16 +193,24 @@ fn core_stats_snapshot(per_loop: &[LoopCounters]) -> Vec<CoreStats> {
         .collect()
 }
 
-/// Addresses one submitted request: the loop housing the connection,
-/// the connection, and the request's per-connection sequence number.
-/// This is the fused runtime's reply-slot type — where the worker pool
-/// parks an `mpsc::Sender`, [`ShardCore`] here parks a ticket, and
-/// delivery routes the response back by loop + connection + seq.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ticket {
-    home: usize,
-    conn: u64,
-    seq: u64,
+/// Where one submitted request's reply goes — the slot [`ShardCore`]
+/// parks in its waiter table and the withheld queue holds until the
+/// reply's LSN is durable.
+#[derive(Clone)]
+pub(crate) enum Ticket {
+    /// A wire request: the loop housing the connection, the connection,
+    /// and the request's per-connection sequence number.
+    Conn { home: usize, conn: u64, seq: u64 },
+    /// An in-process [`Client`] call blocked on its one-shot channel.
+    Local(Sender<LocalReply>),
+}
+
+/// What an in-process caller's one-shot channel receives.
+pub(crate) enum LocalReply {
+    /// The answer to an [`ExecJob`].
+    Done(Result<Response, ServiceError>),
+    /// One loop's shard rows for a [`Client::stats`] fan-out.
+    Rows(Vec<Stats>),
 }
 
 /// A session operation, executable on whichever loop owns the shard.
@@ -257,6 +267,13 @@ enum ExecJob {
         session: SessionId,
         epoch: u64,
     },
+    /// Follower ingest of the primary's WAL records; `session = shard`,
+    /// as above. In-process only: the one op [`crate::ReplicaTailer`]
+    /// needs that the wire does not carry.
+    ReplApply {
+        session: SessionId,
+        records: Vec<(u64, u64, Vec<u8>)>,
+    },
 }
 
 impl ExecJob {
@@ -272,8 +289,17 @@ impl ExecJob {
             | ExecJob::Sync { session }
             | ExecJob::Subscribe { session, .. }
             | ExecJob::ReplicaStatus { session }
-            | ExecJob::Promote { session, .. } => *session,
+            | ExecJob::Promote { session, .. }
+            | ExecJob::ReplApply { session, .. } => *session,
         }
+    }
+
+    /// Whether this job opens a session under a freshly allocated id.
+    fn opens(&self) -> bool {
+        matches!(
+            self,
+            ExecJob::Open { .. } | ExecJob::OpenAvoid { .. } | ExecJob::Restore { .. }
+        )
     }
 }
 
@@ -290,7 +316,8 @@ enum CoreMsg {
     Exec { ticket: Ticket, job: ExecJob },
     /// A completed reply for a request this loop houses.
     Done { conn: u64, seq: u64, resp: Response },
-    /// Collect this loop's shard rows for a `Stats` request.
+    /// Collect this loop's shard rows for a `Stats` request or a
+    /// [`Client::stats`] call.
     StatsAsk { ticket: Ticket },
     /// The rows answering a [`CoreMsg::StatsAsk`].
     StatsReply {
@@ -299,6 +326,51 @@ enum CoreMsg {
         from: usize,
         rows: Vec<Stats>,
     },
+}
+
+/// What every loop and every in-process [`Client`] share: each loop's
+/// inbox and wake pipe, the session-id source, and the admission limits
+/// [`to_job`] checks.
+struct Mesh {
+    loops: usize,
+    shards: usize,
+    max_dim: u16,
+    max_batch: usize,
+    next_session: AtomicU64,
+    inboxes: Vec<Sender<CoreMsg>>,
+    wakes: Vec<UnixStream>,
+}
+
+impl Mesh {
+    /// The shard `session` pins to.
+    fn shard(&self, session: SessionId) -> usize {
+        (session.0 % self.shards as u64) as usize
+    }
+
+    /// The loop owning `session`'s shard.
+    fn owner(&self, session: SessionId) -> usize {
+        self.shard(session) % self.loops
+    }
+
+    /// The routing key of a shard-addressed op: `session = shard` pins
+    /// to exactly that shard.
+    fn shard_key(&self, shard: u16) -> Result<SessionId, ServiceError> {
+        if shard as usize >= self.shards {
+            return Err(ServiceError::UnknownSession);
+        }
+        Ok(SessionId(shard as u64))
+    }
+
+    /// Sends `msg` to loop `target` and wakes it. `false` once that loop
+    /// has exited (its inbox is gone) — only after stop, so the loops
+    /// themselves ignore it.
+    fn send(&self, target: usize, msg: CoreMsg) -> bool {
+        if self.inboxes[target].send(msg).is_err() {
+            return false;
+        }
+        let _ = (&self.wakes[target]).write(&[1]);
+        true
+    }
 }
 
 /// One submitted-but-unanswered request, in submission order.
@@ -311,10 +383,9 @@ enum Slot {
     Stats(Vec<Option<Vec<Stats>>>),
 }
 
-/// Per-connection state: identical transport machinery to the evloop
-/// front-end (same framing, write coalescing, reap bookkeeping), but
-/// the pending FIFO holds [`Slot`]s keyed by sequence number instead of
-/// reply channels — completions are messages, not `try_recv` polls.
+/// Per-connection state: framing, write coalescing and reap
+/// bookkeeping, plus the pending FIFO of [`Slot`]s keyed by sequence
+/// number — completions arrive as messages, never as polls.
 struct CConn {
     id: u64,
     stream: TcpStream,
@@ -403,7 +474,7 @@ impl CConn {
         if self.wpos == self.wbuf.len() {
             self.wbuf.clear();
             self.wpos = 0;
-        } else if self.wpos >= crate::evloop::READ_CHUNK {
+        } else if self.wpos >= READ_CHUNK {
             self.wbuf.copy_within(self.wpos.., 0);
             let keep = self.wbuf.len() - self.wpos;
             self.wbuf.truncate(keep);
@@ -419,41 +490,33 @@ impl CConn {
 /// scopes stay honest while one connection is being served.
 struct LoopEnv {
     me: usize,
-    loops: usize,
-    shards_total: usize,
+    mesh: Arc<Mesh>,
     cfg: CoreConfig,
     /// The shards this loop owns (`shard % loops == me`), run inline.
-    shards: HashMap<usize, ShardCore<Ticket>>,
+    shards: HashMap<usize, ShardCore>,
     /// Completed replies for locally housed requests, applied between
     /// borrow scopes (an inline broker command can complete requests of
     /// *other* connections on this same loop).
     deliveries: Vec<(u64, u64, Response)>,
-    inboxes: Vec<Sender<CoreMsg>>,
-    wake_txs: Vec<UnixStream>,
     counters: Arc<Counters>,
     loop_counters: Arc<Vec<LoopCounters>>,
-    next_session: Arc<AtomicU64>,
     /// Cross-core requests this loop has sent and not yet seen answered
     /// — the "work in flight" half of the busy-tick assertion.
     cross_outstanding: usize,
     /// Under `FsyncPolicy::Pipelined`: per owned shard, replies whose
     /// LSN is appended but not yet durable, in submission order as
-    /// `(lsn, appended-at, ticket, response)`. Released by
-    /// [`LoopEnv::flush_shard`] when one fsync covers them.
-    withheld: HashMap<usize, VecDeque<(u64, Instant, Ticket, Response)>>,
+    /// `(lsn, appended-at, ticket, result)` — the only group-commit
+    /// scheduler. Released by [`LoopEnv::flush_shard`] when one fsync
+    /// covers them.
+    withheld: HashMap<usize, VecDeque<Withheld>>,
 }
+
+/// One reply waiting out its LSN: `(lsn, appended-at, ticket, result)`.
+type Withheld = (u64, Instant, Ticket, Result<Response, ServiceError>);
 
 impl LoopEnv {
     fn lc(&self) -> &LoopCounters {
         &self.loop_counters[self.me]
-    }
-
-    /// Sends `msg` to loop `target` and wakes it. Sends can only fail
-    /// after stop, when the receiving loop has already exited.
-    fn send_to(&mut self, target: usize, msg: CoreMsg) {
-        if self.inboxes[target].send(msg).is_ok() {
-            let _ = self.wake_txs[target].write(&[1]);
-        }
     }
 
     /// Parks a reply until `lsn` is durable on `shard`, or delivers it
@@ -464,18 +527,18 @@ impl LoopEnv {
         shard: usize,
         lsn: Option<u64>,
         ticket: Ticket,
-        resp: Response,
+        result: Result<Response, ServiceError>,
     ) {
         match lsn {
             Some(lsn) => {
                 let q = self.withheld.entry(shard).or_default();
-                q.push_back((lsn, Instant::now(), ticket, resp));
+                q.push_back((lsn, Instant::now(), ticket, result));
                 let depth = q.len() as u64;
                 if let Some(core) = self.shards.get_mut(&shard) {
                     core.pipeline.on_withheld(depth);
                 }
             }
-            None => self.deliver(ticket, resp),
+            None => self.deliver(ticket, result),
         }
     }
 
@@ -503,8 +566,8 @@ impl LoopEnv {
                 core.pipeline.on_release(now.duration_since(*since));
             }
         }
-        for (_, _, ticket, resp) in released {
-            self.deliver(ticket, resp);
+        for (_, _, ticket, result) in released {
+            self.deliver(ticket, result);
         }
     }
 
@@ -587,29 +650,31 @@ impl LoopEnv {
         }
     }
 
-    /// Routes one completed reply to the loop housing `ticket`.
-    fn deliver(&mut self, ticket: Ticket, resp: Response) {
-        if ticket.home == self.me {
-            self.deliveries.push((ticket.conn, ticket.seq, resp));
-        } else {
-            self.send_to(
-                ticket.home,
-                CoreMsg::Done {
-                    conn: ticket.conn,
-                    seq: ticket.seq,
-                    resp,
-                },
-            );
+    /// Routes one completed reply to the loop housing `ticket`, or to
+    /// the in-process caller's channel.
+    fn deliver(&mut self, ticket: Ticket, result: Result<Response, ServiceError>) {
+        match ticket {
+            Ticket::Conn { home, conn, seq } => {
+                let resp = result.unwrap_or_else(error_response);
+                if home == self.me {
+                    self.deliveries.push((conn, seq, resp));
+                } else {
+                    self.mesh.send(home, CoreMsg::Done { conn, seq, resp });
+                }
+            }
+            Ticket::Local(tx) => {
+                let _ = tx.send(LocalReply::Done(result));
+            }
         }
     }
 
     /// Executes a session operation on the owned shard, delivering the
     /// primary reply plus any broker wakes/failures it caused.
     fn run_job(&mut self, ticket: Ticket, job: ExecJob) {
-        let shard = (job.session().0 % self.shards_total as u64) as usize;
-        debug_assert_eq!(shard % self.loops, self.me, "job routed to non-owner");
+        let shard = self.mesh.shard(job.session());
+        debug_assert_eq!(shard % self.mesh.loops, self.me, "job routed to non-owner");
         let Some(core) = self.shards.get_mut(&shard) else {
-            self.deliver(ticket, Response::Error(ErrorCode::Shutdown));
+            self.deliver(ticket, Err(ServiceError::Shutdown));
             return;
         };
         match job {
@@ -618,12 +683,11 @@ impl LoopEnv {
                 resources,
                 processes,
             } => {
-                let resp = respond(
-                    core.open(session, resources, processes)
-                        .map(Response::Opened),
-                );
+                let result = core
+                    .open(session, resources, processes)
+                    .map(Response::Opened);
                 let lsn = core.take_withhold_lsn();
-                self.deliver_or_withhold(shard, lsn, ticket, resp);
+                self.deliver_or_withhold(shard, lsn, ticket, result);
             }
             ExecJob::OpenAvoid {
                 session,
@@ -631,43 +695,36 @@ impl LoopEnv {
                 processes,
                 mode,
             } => {
-                let resp = respond(
-                    core.open_avoid(session, resources, processes, mode)
-                        .map(Response::Opened),
-                );
+                let result = core
+                    .open_avoid(session, resources, processes, mode)
+                    .map(Response::Opened);
                 let lsn = core.take_withhold_lsn();
-                self.deliver_or_withhold(shard, lsn, ticket, resp);
+                self.deliver_or_withhold(shard, lsn, ticket, result);
             }
             ExecJob::Batch { session, events } => {
-                let resp = respond(core.batch(session, &events).map(Response::Batch));
+                let result = core.batch(session, &events).map(Response::Batch);
                 let lsn = core.take_withhold_lsn();
-                self.deliver_or_withhold(shard, lsn, ticket, resp);
+                self.deliver_or_withhold(shard, lsn, ticket, result);
             }
             ExecJob::Close { session } => {
                 let (result, dead) = core.close(session);
                 let lsn = core.take_withhold_lsn();
-                let resp = respond(result.map(|()| Response::Closed));
-                self.deliver_or_withhold(shard, lsn, ticket, resp);
+                self.deliver_or_withhold(shard, lsn, ticket, result.map(|()| Response::Closed));
                 // Waiters parked on the closed broker session can never
                 // be granted — fail them instead of leaking hangs. The
                 // errors ride the close's LSN like any reply it caused.
                 for t in dead {
-                    self.deliver_or_withhold(
-                        shard,
-                        lsn,
-                        t,
-                        Response::Error(ErrorCode::UnknownSession),
-                    );
+                    self.deliver_or_withhold(shard, lsn, t, Err(ServiceError::UnknownSession));
                 }
             }
             ExecJob::Snapshot { session } => {
-                let resp = respond(core.snapshot_blob(session).map(Response::Snapshot));
-                self.deliver(ticket, resp);
+                let result = core.snapshot_blob(session).map(Response::Snapshot);
+                self.deliver(ticket, result);
             }
             ExecJob::Restore { session, snapshot } => {
-                let resp = respond(core.restore(session, &snapshot).map(Response::Opened));
+                let result = core.restore(session, &snapshot).map(Response::Opened);
                 let lsn = core.take_withhold_lsn();
-                self.deliver_or_withhold(shard, lsn, ticket, resp);
+                self.deliver_or_withhold(shard, lsn, ticket, result);
             }
             ExecJob::Broker { session, cmd } => {
                 let out = core.broker(session, cmd, ticket);
@@ -675,18 +732,17 @@ impl LoopEnv {
                 // the command's LSN (re-attaches didn't log: deliver).
                 let lsn = core.take_withhold_lsn();
                 if let Some((t, result)) = out.reply {
-                    let resp = respond(result);
-                    self.deliver_or_withhold(shard, lsn, t, resp);
+                    self.deliver_or_withhold(shard, lsn, t, result);
                 }
                 for t in out.woken {
                     self.deliver_or_withhold(
                         shard,
                         lsn,
                         t,
-                        Response::Granted {
+                        Ok(Response::Granted {
                             cycles: 0,
                             probes: 0,
-                        },
+                        }),
                     );
                 }
             }
@@ -701,9 +757,9 @@ impl LoopEnv {
                 self.release_shard(shard);
                 self.deliver(
                     ticket,
-                    Response::Synced {
+                    Ok(Response::Synced {
                         durable_lsn: durable,
-                    },
+                    }),
                 );
             }
             ExecJob::Subscribe {
@@ -716,27 +772,32 @@ impl LoopEnv {
                 // commit deadline. The poll's piggybacked ack may also
                 // advance the repl_ack release floor — drain after.
                 self.flush_shard(shard);
-                let resp = {
-                    let core = self.shards.get_mut(&shard).expect("owned shard");
-                    respond(core.subscribe(from_seq, acked_seq))
-                };
+                let result = self
+                    .shards
+                    .get_mut(&shard)
+                    .expect("owned shard")
+                    .subscribe(from_seq, acked_seq);
                 self.release_shard(shard);
-                self.deliver(ticket, resp);
+                self.deliver(ticket, result);
             }
             ExecJob::ReplicaStatus { .. } => {
-                let resp = {
-                    let core = self.shards.get(&shard).expect("owned shard");
-                    Response::ReplicaStatus(core.replica_status())
-                };
-                self.deliver(ticket, resp);
+                let result = Ok(Response::ReplicaStatus(core.replica_status()));
+                self.deliver(ticket, result);
             }
             ExecJob::Promote { epoch, .. } => {
-                let resp = {
-                    let core = self.shards.get_mut(&shard).expect("owned shard");
-                    respond(core.promote(epoch))
-                };
-                self.deliver(ticket, resp);
+                let result = core.promote(epoch);
+                self.deliver(ticket, result);
             }
+            ExecJob::ReplApply { records, .. } => {
+                let result = core.repl_apply(&records);
+                self.deliver(ticket, result);
+            }
+        }
+        // Compaction once enough records accumulated; the checkpoint's
+        // WAL sync advances the release floor on its own.
+        let core = self.shards.get_mut(&shard).expect("owned shard");
+        if core.maybe_checkpoint(false) {
+            self.release_shard(shard);
         }
         // Trigger (a): the batch may have just reached `max_records`.
         self.maybe_flush(shard);
@@ -746,9 +807,7 @@ impl LoopEnv {
     fn own_rows(&self) -> Vec<Stats> {
         let mut ids: Vec<usize> = self.shards.keys().copied().collect();
         ids.sort_unstable();
-        // The fused runtime has no request queue, so the queue-depth
-        // high-water mark is identically zero.
-        ids.iter().map(|s| self.shards[s].report(0)).collect()
+        ids.iter().map(|s| self.shards[s].report()).collect()
     }
 
     /// Assembles the wire `Stats` response once every loop has reported.
@@ -763,9 +822,42 @@ impl LoopEnv {
     }
 }
 
-/// Maps a service result to its wire response.
-fn respond(r: Result<Response, ServiceError>) -> Response {
-    r.unwrap_or_else(error_response)
+/// Maps a synchronous service error to its wire response.
+fn error_response(e: ServiceError) -> Response {
+    Response::Error(e.into())
+}
+
+/// Maps per-shard [`Stats`] snapshots to the wire's [`ShardStats`] rows.
+fn stats_rows(per_shard: &[Stats]) -> Vec<ShardStats> {
+    per_shard
+        .iter()
+        .map(|s| ShardStats {
+            shard: s.counter("service.shard_id") as u16,
+            events: s.counter("service.events"),
+            probes: s.counter("service.probes"),
+            cache_hits: s.counter("service.cache_hits"),
+            max_queue_depth: s.counter("service.queue_depth_max"),
+            dense_reductions: s.counter("service.dense_reductions"),
+            sparse_reductions: s.counter("service.sparse_reductions"),
+            live_edges: s.counter("service.live_edges"),
+            density_permille: s.counter("service.density_permille"),
+            broker_grants: s.counter("service.broker_grants"),
+            broker_deferrals: s.counter("service.broker_deferrals"),
+            broker_give_ups: s.counter("service.broker_give_ups"),
+            broker_livelocks: s.counter("service.broker_livelocks"),
+            broker_waiters: s.counter("service.broker_waiters"),
+            pipeline_fsyncs: s.counter("store.fsyncs"),
+            pipeline_batches: s.counter("store.pipeline_batches"),
+            pipeline_batch_max: s.counter("store.pipeline_batch_max"),
+            pipeline_withheld_peak: s.counter("store.pipeline_withheld_peak"),
+            pipeline_commit_p50_us: s.counter("store.pipeline_commit_p50_us"),
+            pipeline_commit_p99_us: s.counter("store.pipeline_commit_p99_us"),
+            repl_lag_records: s.counter("store.repl_lag_records"),
+            follower_acked_seq: s.counter("store.follower_acked_seq"),
+            epoch: s.counter("store.epoch"),
+            promotions: s.counter("store.promotions"),
+        })
+        .collect()
 }
 
 /// Fills waiting slots from the delivery buffer. Deliveries for
@@ -784,8 +876,8 @@ fn apply_deliveries(env: &mut LoopEnv, conns: &mut [CConn]) {
 
 /// Consumes every complete frame in `c`'s read buffer: decode in place,
 /// execute inline when this loop owns the session's shard, forward
-/// otherwise. Mirrors the evloop's `process_frames` semantics (in-band
-/// `BadRequest`, `Busy` past the pipeline cap, desync drop) exactly.
+/// otherwise. In-band `BadRequest` for undecodable frames, `Busy` past
+/// the pipeline cap, and a dropped connection on lost framing.
 fn process_conn_frames(env: &mut LoopEnv, c: &mut CConn) {
     loop {
         match c.rbuf.next_frame() {
@@ -801,7 +893,7 @@ fn process_conn_frames(env: &mut LoopEnv, c: &mut CConn) {
                 let seq = c.next_seq;
                 c.next_seq += 1;
                 let over_depth = c.pending.len() >= env.cfg.max_pipeline;
-                let ticket = Ticket {
+                let ticket = Ticket::Conn {
                     home: env.me,
                     conn: c.id,
                     seq,
@@ -813,33 +905,39 @@ fn process_conn_frames(env: &mut LoopEnv, c: &mut CConn) {
                         Slot::Ready(Response::Busy)
                     }
                     Ok(Request::Stats) => {
-                        if env.loops == 1 {
+                        let loops = env.mesh.loops;
+                        if loops == 1 {
                             let rows = vec![Some(env.own_rows())];
                             Slot::Ready(env.finish_stats(rows))
                         } else {
-                            let mut rows = vec![None; env.loops];
+                            let mut rows = vec![None; loops];
                             rows[env.me] = Some(env.own_rows());
-                            for target in 0..env.loops {
+                            for target in 0..loops {
                                 if target != env.me {
-                                    env.send_to(target, CoreMsg::StatsAsk { ticket });
+                                    let ticket = ticket.clone();
+                                    env.mesh.send(target, CoreMsg::StatsAsk { ticket });
                                     env.cross_outstanding += 1;
                                 }
                             }
                             Slot::Stats(rows)
                         }
                     }
-                    Ok(req) => match to_job(env, c, req) {
-                        Err(resp) => Slot::Ready(*resp),
+                    Ok(req) => match to_job(&env.mesh, req) {
+                        Err(e) => Slot::Ready(error_response(e)),
                         Ok(job) => {
-                            let shard = (job.session().0 % env.shards_total as u64) as usize;
-                            let owner = shard % env.loops;
+                            let owner = env.mesh.owner(job.session());
+                            if job.opens() {
+                                // Follow the newest session: migrate there
+                                // once quiescent.
+                                c.affine = owner;
+                            }
                             if owner == env.me {
                                 env.lc().inline_ops.fetch_add(1, Ordering::Relaxed);
                                 env.run_job(ticket, job);
                             } else {
                                 env.lc().cross_core_forwards.fetch_add(1, Ordering::Relaxed);
                                 env.cross_outstanding += 1;
-                                env.send_to(owner, CoreMsg::Exec { ticket, job });
+                                env.mesh.send(owner, CoreMsg::Exec { ticket, job });
                             }
                             Slot::Wait
                         }
@@ -857,27 +955,23 @@ fn process_conn_frames(env: &mut LoopEnv, c: &mut CConn) {
     };
 }
 
-/// Validates a session request and binds it to an [`ExecJob`]; errors
-/// are the same in-band responses the evloop's sync admission checks
-/// produce. Opens allocate the session id here (on the *serving* loop)
-/// and re-point the connection's affinity at the owning loop.
-fn to_job(env: &LoopEnv, c: &mut CConn, req: Request) -> Result<ExecJob, Box<Response>> {
-    let dims_ok = |r: u16, p: u16| r != 0 && p != 0 && r <= env.cfg.max_dim && p <= env.cfg.max_dim;
-    let alloc = |env: &LoopEnv, c: &mut CConn| {
-        let session = SessionId(env.next_session.fetch_add(1, Ordering::Relaxed));
-        c.affine = (session.0 % env.shards_total as u64) as usize % env.loops;
-        session
-    };
+/// Runs a request's admission checks (dimensions, batch cap, shard
+/// range) and binds it to an [`ExecJob`] — for wire frames and
+/// in-process [`Client`] calls alike. Opens allocate the session id
+/// here, on the submitting side.
+fn to_job(mesh: &Mesh, req: Request) -> Result<ExecJob, ServiceError> {
+    let dims_ok = |r: u16, p: u16| r != 0 && p != 0 && r <= mesh.max_dim && p <= mesh.max_dim;
+    let alloc = || SessionId(mesh.next_session.fetch_add(1, Ordering::Relaxed));
     match req {
         Request::Open {
             resources,
             processes,
         } => {
             if !dims_ok(resources, processes) {
-                return Err(Box::new(error_response(ServiceError::BadDimensions)));
+                return Err(ServiceError::BadDimensions);
             }
             Ok(ExecJob::Open {
-                session: alloc(env, c),
+                session: alloc(),
                 resources,
                 processes,
             })
@@ -888,25 +982,25 @@ fn to_job(env: &LoopEnv, c: &mut CConn, req: Request) -> Result<ExecJob, Box<Res
             mode,
         } => {
             if !dims_ok(resources, processes) {
-                return Err(Box::new(error_response(ServiceError::BadDimensions)));
+                return Err(ServiceError::BadDimensions);
             }
             Ok(ExecJob::OpenAvoid {
-                session: alloc(env, c),
+                session: alloc(),
                 resources,
                 processes,
                 mode,
             })
         }
         Request::Batch { session, events } => {
-            if events.len() > env.cfg.max_batch {
-                return Err(Box::new(error_response(ServiceError::BatchTooLarge)));
+            if events.len() > mesh.max_batch {
+                return Err(ServiceError::BatchTooLarge);
             }
             Ok(ExecJob::Batch { session, events })
         }
         Request::Close { session } => Ok(ExecJob::Close { session }),
         Request::Snapshot { session } => Ok(ExecJob::Snapshot { session }),
         Request::Restore { snapshot } => Ok(ExecJob::Restore {
-            session: alloc(env, c),
+            session: alloc(),
             snapshot,
         }),
         Request::SetPriority {
@@ -935,40 +1029,22 @@ fn to_job(env: &LoopEnv, c: &mut CConn, req: Request) -> Result<ExecJob, Box<Res
             cmd: BrokerCmd::GiveUpAck { p },
         }),
         Request::Sync { session } => Ok(ExecJob::Sync { session }),
-        // Shard-addressed replication ops ride session routing with
-        // `session = shard`: `shard % shards_total == shard`, so the job
-        // lands on exactly the named shard's owning loop.
         Request::Subscribe {
             shard,
             from_seq,
             acked_seq,
-        } => {
-            if shard as usize >= env.shards_total {
-                return Err(Box::new(error_response(ServiceError::UnknownSession)));
-            }
-            Ok(ExecJob::Subscribe {
-                session: SessionId(shard as u64),
-                from_seq,
-                acked_seq,
-            })
-        }
-        Request::ReplicaStatus { shard } => {
-            if shard as usize >= env.shards_total {
-                return Err(Box::new(error_response(ServiceError::UnknownSession)));
-            }
-            Ok(ExecJob::ReplicaStatus {
-                session: SessionId(shard as u64),
-            })
-        }
-        Request::Promote { shard, epoch } => {
-            if shard as usize >= env.shards_total {
-                return Err(Box::new(error_response(ServiceError::UnknownSession)));
-            }
-            Ok(ExecJob::Promote {
-                session: SessionId(shard as u64),
-                epoch,
-            })
-        }
+        } => Ok(ExecJob::Subscribe {
+            session: mesh.shard_key(shard)?,
+            from_seq,
+            acked_seq,
+        }),
+        Request::ReplicaStatus { shard } => Ok(ExecJob::ReplicaStatus {
+            session: mesh.shard_key(shard)?,
+        }),
+        Request::Promote { shard, epoch } => Ok(ExecJob::Promote {
+            session: mesh.shard_key(shard)?,
+            epoch,
+        }),
         // Handled by the caller before `to_job` (it fans out, it does
         // not execute on a single shard).
         Request::Stats => unreachable!("Stats is routed before to_job"),
@@ -1001,21 +1077,20 @@ fn reap_timeout_ms(conns: &[CConn], cfg: &CoreConfig, now: Instant) -> i32 {
 struct CoreCtx {
     me: usize,
     cfg: CoreConfig,
-    loops: usize,
-    shards_total: usize,
+    mesh: Arc<Mesh>,
     stop: Arc<AtomicBool>,
     counters: Arc<Counters>,
     loop_counters: Arc<Vec<LoopCounters>>,
     inbox: Receiver<CoreMsg>,
-    inboxes: Vec<Sender<CoreMsg>>,
     wake_rx: UnixStream,
-    wake_txs: Vec<UnixStream>,
-    next_session: Arc<AtomicU64>,
-    ready_tx: Sender<(usize, u64, Vec<RecoveryInfo>)>,
+    ready_tx: Sender<(u64, Vec<RecoveryInfo>)>,
     go_rx: Receiver<()>,
 }
 
-fn run_core_loop(ctx: CoreCtx) {
+/// One loop's life: build and recover its shards, report ready, serve
+/// until stopped, then drain and checkpoint. Returns the owned shards'
+/// final counters.
+fn run_core_loop(ctx: CoreCtx) -> Vec<Stats> {
     if ctx.cfg.pin_cpus {
         par::pin_current_thread(ctx.me);
     }
@@ -1024,8 +1099,8 @@ fn run_core_loop(ctx: CoreCtx) {
         (ctx.cfg.par.threads > 1).then(|| Arc::new(WorkerPool::new(ctx.cfg.par.threads)));
     // Build (and, with durability, recover) the owned shards before the
     // acceptor starts: no request may observe a half-recovered service.
-    let mut shards: HashMap<usize, ShardCore<Ticket>> = HashMap::new();
-    for shard in (ctx.me..ctx.shards_total).step_by(ctx.loops.max(1)) {
+    let mut shards: HashMap<usize, ShardCore> = HashMap::new();
+    for shard in (ctx.me..ctx.mesh.shards).step_by(ctx.mesh.loops) {
         shards.insert(
             shard,
             ShardCore::new(
@@ -1047,25 +1122,24 @@ fn run_core_loop(ctx: CoreCtx) {
             infos.push(info);
         }
     }
-    let _ = ctx.ready_tx.send((ctx.me, max_next, infos));
+    let _ = ctx.ready_tx.send((max_next, infos));
+    // Report once, then let go: a loop that dies in recovery shows up in
+    // `bind` as a missing report instead of a sender held forever.
+    drop(ctx.ready_tx);
     // Wait for bind to seed the shared session counter from every
     // loop's recovery high-water mark.
     if ctx.go_rx.recv().is_err() {
-        return;
+        return Vec::new();
     }
 
     let mut env = LoopEnv {
         me: ctx.me,
-        loops: ctx.loops,
-        shards_total: ctx.shards_total,
+        mesh: ctx.mesh,
         cfg: ctx.cfg,
         shards,
         deliveries: Vec::new(),
-        inboxes: ctx.inboxes,
-        wake_txs: ctx.wake_txs,
         counters: ctx.counters,
         loop_counters: ctx.loop_counters,
-        next_session: ctx.next_session,
         cross_outstanding: 0,
         withheld: HashMap::new(),
     };
@@ -1096,16 +1170,20 @@ fn run_core_loop(ctx: CoreCtx) {
                 }
                 CoreMsg::StatsAsk { ticket } => {
                     let rows = env.own_rows();
-                    let me = env.me;
-                    env.send_to(
-                        ticket.home,
-                        CoreMsg::StatsReply {
-                            conn: ticket.conn,
-                            seq: ticket.seq,
-                            from: me,
-                            rows,
-                        },
-                    );
+                    match ticket {
+                        Ticket::Conn { home, conn, seq } => {
+                            let reply = CoreMsg::StatsReply {
+                                conn,
+                                seq,
+                                from: env.me,
+                                rows,
+                            };
+                            env.mesh.send(home, reply);
+                        }
+                        Ticket::Local(tx) => {
+                            let _ = tx.send(LocalReply::Rows(rows));
+                        }
+                    }
                 }
                 CoreMsg::StatsReply {
                     conn,
@@ -1150,7 +1228,7 @@ fn run_core_loop(ctx: CoreCtx) {
             {
                 let c = conns.swap_remove(i);
                 let target = c.affine;
-                env.send_to(target, CoreMsg::Migrate(Box::new(c)));
+                env.mesh.send(target, CoreMsg::Migrate(Box::new(c)));
             } else {
                 i += 1;
             }
@@ -1287,21 +1365,20 @@ fn run_core_loop(ctx: CoreCtx) {
     // Replies still parked after the flush are gated on a follower ack
     // that will never arrive (the runtime is stopping); locally durable
     // is the most a dying process can promise, so deliver.
-    let gated: Vec<(usize, u64, Instant, Ticket, Response)> = env
+    let gated: Vec<(usize, Withheld)> = env
         .withheld
         .iter_mut()
         .flat_map(|(shard, q)| {
             let shard = *shard;
-            q.drain(..)
-                .map(move |(lsn, since, t, r)| (shard, lsn, since, t, r))
+            q.drain(..).map(move |w| (shard, w))
         })
         .collect();
     let now = Instant::now();
-    for (shard, _, since, ticket, resp) in gated {
+    for (shard, (_, since, ticket, result)) in gated {
         if let Some(core) = env.shards.get_mut(&shard) {
             core.pipeline.on_release(now.duration_since(since));
         }
-        env.deliver(ticket, resp);
+        env.deliver(ticket, result);
     }
     apply_deliveries(&mut env, &mut conns);
     for c in conns.iter_mut() {
@@ -1315,29 +1392,31 @@ fn run_core_loop(ctx: CoreCtx) {
     }
     let n = conns.len() as u64;
     env.counters.closed.fetch_add(n, Ordering::Relaxed);
+    env.own_rows()
 }
 
 /// Global connection-id source — ids must be unique across loops
 /// because connections migrate between them.
 static NEXT_CONN: AtomicU64 = AtomicU64::new(0);
 
-/// A running thread-per-core fused runtime: acceptor + N pinned loops,
-/// each owning its shards outright. Self-contained — there is no
-/// separate [`crate::Service`] behind it, because the shards *are* the
-/// loops.
+/// A running thread-per-core runtime: acceptor + N pinned loops, each
+/// owning its shards outright — the shards *are* the loops. Serves the
+/// wire protocol on its bound address and in-process calls through
+/// [`CoreRuntime::client`] handles.
 ///
-/// Construction: [`CoreRuntime::bind`]. Dropping the handle stops the
-/// acceptor and joins every loop (open connections drop; durable shards
-/// run their shutdown checkpoint/sync first).
+/// Construction: [`CoreRuntime::bind`]. [`CoreRuntime::stop`] (or
+/// dropping the handle) stops the acceptor and joins every loop (open
+/// connections drop; durable shards run their shutdown checkpoint/sync
+/// first).
 pub struct CoreRuntime {
     addr: SocketAddr,
+    mesh: Arc<Mesh>,
     stop: Arc<AtomicBool>,
     counters: Arc<Counters>,
     loop_counters: Arc<Vec<LoopCounters>>,
     recovery: Vec<RecoveryInfo>,
     accept_thread: Option<JoinHandle<()>>,
-    loop_threads: Vec<JoinHandle<()>>,
-    wakes: Vec<UnixStream>,
+    loop_threads: Vec<JoinHandle<Vec<Stats>>>,
 }
 
 impl CoreRuntime {
@@ -1347,27 +1426,33 @@ impl CoreRuntime {
     ///
     /// # Errors
     ///
-    /// Propagates bind/pipe/spawn failures.
+    /// Propagates bind/pipe/spawn failures. A loop that dies building or
+    /// recovering its shards fails the bind with its panic message; the
+    /// other loops are stopped and joined first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the durability directory cannot be initialized.
     pub fn bind(addr: &str, cfg: CoreConfig) -> io::Result<CoreRuntime> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let loops = cfg.resolved_loops();
-        let shards_total = cfg.resolved_shards();
+        let shards = cfg.resolved_shards();
         if let Some(d) = &cfg.durability {
-            deltaos_store::init_dir(&d.dir, shards_total as u32)
+            deltaos_store::init_dir(&d.dir, shards as u32)
                 .unwrap_or_else(|e| panic!("store init failed: {e}"));
         }
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(Counters::default());
         let loop_counters: Arc<Vec<LoopCounters>> =
             Arc::new((0..loops).map(|_| LoopCounters::default()).collect());
-        let next_session = Arc::new(AtomicU64::new(0));
 
-        // Wire the mesh: every loop can reach every inbox and wake pipe.
+        // Wire the mesh: every loop, the acceptor and every client can
+        // reach every inbox and wake pipe.
         let mut inboxes = Vec::with_capacity(loops);
         let mut inbox_rxs = Vec::with_capacity(loops);
+        let mut wakes = Vec::with_capacity(loops);
         let mut wake_rxs = Vec::with_capacity(loops);
-        let mut wake_master = Vec::with_capacity(loops);
         for _ in 0..loops {
             let (tx, rx) = mpsc::channel();
             inboxes.push(tx);
@@ -1376,8 +1461,17 @@ impl CoreRuntime {
             rx_end.set_nonblocking(true)?;
             tx_end.set_nonblocking(true)?;
             wake_rxs.push(rx_end);
-            wake_master.push(tx_end);
+            wakes.push(tx_end);
         }
+        let mesh = Arc::new(Mesh {
+            loops,
+            shards,
+            max_dim: cfg.max_dim,
+            max_batch: cfg.max_batch,
+            next_session: AtomicU64::new(0),
+            inboxes,
+            wakes,
+        });
 
         let (ready_tx, ready_rx) = mpsc::channel();
         let mut go_txs = Vec::with_capacity(loops);
@@ -1385,23 +1479,15 @@ impl CoreRuntime {
         for (me, (inbox, wake_rx)) in inbox_rxs.into_iter().zip(wake_rxs).enumerate() {
             let (go_tx, go_rx) = mpsc::channel();
             go_txs.push(go_tx);
-            let mut wake_txs = Vec::with_capacity(loops);
-            for w in &wake_master {
-                wake_txs.push(w.try_clone()?);
-            }
             let ctx = CoreCtx {
                 me,
                 cfg: cfg.clone(),
-                loops,
-                shards_total,
+                mesh: Arc::clone(&mesh),
                 stop: Arc::clone(&stop),
                 counters: Arc::clone(&counters),
                 loop_counters: Arc::clone(&loop_counters),
                 inbox,
-                inboxes: inboxes.clone(),
                 wake_rx,
-                wake_txs,
-                next_session: Arc::clone(&next_session),
                 ready_tx: ready_tx.clone(),
                 go_rx,
             };
@@ -1414,18 +1500,34 @@ impl CoreRuntime {
         drop(ready_tx);
 
         // Recovery handshake: collect every loop's high-water mark
-        // before any of them serves a byte.
+        // before any of them serves a byte. Each loop drops its sender
+        // after reporting, so a loop that died shows up as a shortfall.
         let mut recovery = Vec::new();
         let mut max_next = 0u64;
-        for _ in 0..loops {
-            let Ok((_, loop_max, infos)) = ready_rx.recv() else {
-                break;
-            };
+        let mut reported = 0;
+        while let Ok((loop_max, infos)) = ready_rx.recv() {
+            reported += 1;
             max_next = max_next.max(loop_max);
             recovery.extend(infos);
         }
+        if reported < loops {
+            // Releases the live loops from their `go` wait.
+            drop(go_txs);
+            let mut failure = String::from("a core loop exited during recovery");
+            for (me, t) in loop_threads.into_iter().enumerate() {
+                if let Err(panic) = t.join() {
+                    let msg = panic
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| panic.downcast_ref::<&str>().copied())
+                        .unwrap_or("non-string panic");
+                    failure = format!("core loop {me} died during recovery: {msg}");
+                }
+            }
+            return Err(io::Error::other(failure));
+        }
         recovery.sort_by_key(|r| r.shard);
-        next_session.store(max_next, Ordering::Relaxed);
+        mesh.next_session.store(max_next, Ordering::Relaxed);
         for go in &go_txs {
             let _ = go.send(());
         }
@@ -1433,11 +1535,7 @@ impl CoreRuntime {
         // Acceptor: round-robin hand-off; migration rebalances after.
         let accept_stop = Arc::clone(&stop);
         let accept_counters = Arc::clone(&counters);
-        let accept_inboxes = inboxes.clone();
-        let mut accept_wakes = Vec::with_capacity(loops);
-        for w in &wake_master {
-            accept_wakes.push(w.try_clone()?);
-        }
+        let accept_mesh = Arc::clone(&mesh);
         let accept_thread = std::thread::Builder::new()
             .name("deltaos-core-accept".into())
             .spawn(move || {
@@ -1451,23 +1549,28 @@ impl CoreRuntime {
                         continue;
                     }
                     accept_counters.accepted.fetch_add(1, Ordering::Relaxed);
-                    if accept_inboxes[next].send(CoreMsg::Accept(stream)).is_ok() {
-                        let _ = accept_wakes[next].write(&[1]);
-                    }
-                    next = (next + 1) % accept_inboxes.len();
+                    accept_mesh.send(next, CoreMsg::Accept(stream));
+                    next = (next + 1) % accept_mesh.loops;
                 }
             })?;
 
         Ok(CoreRuntime {
             addr: local,
+            mesh,
             stop,
             counters,
             loop_counters,
             recovery,
             accept_thread: Some(accept_thread),
             loop_threads,
-            wakes: wake_master,
         })
+    }
+
+    /// A new in-process handle on this runtime's loops.
+    pub fn client(&self) -> Client {
+        Client {
+            mesh: Arc::clone(&self.mesh),
+        }
     }
 
     /// The bound address (with the resolved port).
@@ -1520,25 +1623,32 @@ impl CoreRuntime {
     }
 
     /// Stops accepting, wakes every loop, and joins all threads. Open
-    /// connections drop; durable shards run their shutdown checkpoint
-    /// or WAL sync before the loop exits.
-    pub fn stop(mut self) {
-        self.halt();
+    /// connections drop; accepted in-process calls and withheld replies
+    /// are answered; durable shards run their shutdown checkpoint or WAL
+    /// sync before the loop exits. Returns every shard's final counters
+    /// (index = shard id). Calls on a [`Client`] made after this answer
+    /// [`ServiceError::Shutdown`].
+    pub fn stop(mut self) -> Vec<Stats> {
+        self.halt()
     }
 
-    fn halt(&mut self) {
+    fn halt(&mut self) -> Vec<Stats> {
         self.stop.store(true, Ordering::Release);
-        for w in &mut self.wakes {
-            let _ = w.write(&[1]);
+        for w in &self.mesh.wakes {
+            let _ = (&*w).write(&[1]);
         }
         // The acceptor blocks in `incoming()`; poke it awake.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        for t in self.loop_threads.drain(..) {
-            let _ = t.join();
-        }
+        let mut rows: Vec<Stats> = self
+            .loop_threads
+            .drain(..)
+            .flat_map(|t| t.join().unwrap_or_default())
+            .collect();
+        rows.sort_by_key(|s| s.counter("service.shard_id"));
+        rows
     }
 }
 
@@ -1556,6 +1666,379 @@ impl std::fmt::Debug for CoreRuntime {
             .field("addr", &self.addr)
             .field("loops", &self.loop_threads.len())
             .finish_non_exhaustive()
+    }
+}
+
+/// Cheap, cloneable in-process handle on a [`CoreRuntime`]'s loops.
+///
+/// Each call builds the same `ExecJob` a wire request does (same
+/// admission checks), posts it to the owning loop's inbox — the path
+/// cross-core forwards take — and blocks on a one-shot channel for the
+/// reply. Safe to use from any thread; a call waits only for its own
+/// reply. After [`CoreRuntime::stop`] every call answers
+/// [`ServiceError::Shutdown`].
+#[derive(Clone)]
+pub struct Client {
+    mesh: Arc<Mesh>,
+}
+
+/// A submitted batch's pending reply, from [`Client::batch_async`].
+#[derive(Debug)]
+pub struct PendingBatch(Receiver<LocalReply>);
+
+impl PendingBatch {
+    /// Blocks for the batch's per-event results.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Client::batch`].
+    pub fn wait(self) -> Result<Vec<EventResult>, ServiceError> {
+        let Response::Batch(results) = recv_reply(&self.0)? else {
+            unreachable!("a batch answers Batch")
+        };
+        Ok(results)
+    }
+}
+
+/// Blocks for one job's reply; a dropped channel means the owning loop
+/// has exited.
+fn recv_reply(rx: &Receiver<LocalReply>) -> Result<Response, ServiceError> {
+    match rx.recv() {
+        Ok(LocalReply::Done(result)) => result,
+        Ok(LocalReply::Rows(_)) => unreachable!("only stats asks answer with rows"),
+        Err(_) => Err(ServiceError::Shutdown),
+    }
+}
+
+impl std::fmt::Debug for Client {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Client")
+            .field("loops", &self.mesh.loops)
+            .field("shards", &self.mesh.shards)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Client {
+    /// Posts `job` to its owning loop with a fresh one-shot reply slot.
+    fn submit(&self, job: ExecJob) -> Result<Receiver<LocalReply>, ServiceError> {
+        let (tx, rx) = mpsc::channel();
+        let owner = self.mesh.owner(job.session());
+        let ticket = Ticket::Local(tx);
+        if !self.mesh.send(owner, CoreMsg::Exec { ticket, job }) {
+            return Err(ServiceError::Shutdown);
+        }
+        Ok(rx)
+    }
+
+    /// Admits `req`, runs it on the owning loop and blocks for the reply.
+    fn call(&self, req: Request) -> Result<Response, ServiceError> {
+        recv_reply(&self.submit(to_job(&self.mesh, req)?)?)
+    }
+
+    /// Opens a plain detection session, blocking for its id.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::BadDimensions`] for zero/over-cap dimensions,
+    /// [`ServiceError::TooManySessions`] when the shard is full,
+    /// [`ServiceError::ReadOnlyReplica`] on a replica.
+    pub fn open(&self, resources: u16, processes: u16) -> Result<SessionId, ServiceError> {
+        let Response::Opened(id) = self.call(Request::Open {
+            resources,
+            processes,
+        })?
+        else {
+            unreachable!("an open answers Opened")
+        };
+        Ok(id)
+    }
+
+    /// Applies a batch, blocking for the per-event results.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::BatchTooLarge`] above the admission cap,
+    /// [`ServiceError::UnknownSession`] for a missing session,
+    /// [`ServiceError::AvoidanceOn`] on a broker session.
+    pub fn batch(
+        &self,
+        session: SessionId,
+        events: Vec<Event>,
+    ) -> Result<Vec<EventResult>, ServiceError> {
+        self.batch_async(session, events)?.wait()
+    }
+
+    /// Submits a batch without waiting; [`PendingBatch::wait`] yields the
+    /// results once the owning loop ran it. Lets one caller keep many
+    /// batches in flight, so a pipelined WAL can group their commits.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::BatchTooLarge`] above the admission cap,
+    /// [`ServiceError::Shutdown`] after stop; session errors arrive
+    /// through [`PendingBatch::wait`].
+    pub fn batch_async(
+        &self,
+        session: SessionId,
+        events: Vec<Event>,
+    ) -> Result<PendingBatch, ServiceError> {
+        let job = to_job(&self.mesh, Request::Batch { session, events })?;
+        Ok(PendingBatch(self.submit(job)?))
+    }
+
+    /// Closes a session, folding its engine counters into shard stats.
+    /// Blocked acquires parked on a closed broker session fail with
+    /// [`ServiceError::UnknownSession`].
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownSession`] if it does not exist.
+    pub fn close(&self, session: SessionId) -> Result<(), ServiceError> {
+        self.call(Request::Close { session }).map(drop)
+    }
+
+    /// Every shard's counters (index = shard id), collected from every
+    /// loop like the wire `Stats` request.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Shutdown`] after stop.
+    pub fn stats(&self) -> Result<Vec<Stats>, ServiceError> {
+        let (tx, rx) = mpsc::channel();
+        for target in 0..self.mesh.loops {
+            let ticket = Ticket::Local(tx.clone());
+            if !self.mesh.send(target, CoreMsg::StatsAsk { ticket }) {
+                return Err(ServiceError::Shutdown);
+            }
+        }
+        drop(tx);
+        let mut rows = Vec::with_capacity(self.mesh.shards);
+        for _ in 0..self.mesh.loops {
+            match rx.recv() {
+                Ok(LocalReply::Rows(r)) => rows.extend(r),
+                Ok(LocalReply::Done(_)) => unreachable!("stats asks answer with rows"),
+                Err(_) => return Err(ServiceError::Shutdown),
+            }
+        }
+        rows.sort_by_key(|s| s.counter("service.shard_id"));
+        Ok(rows)
+    }
+
+    /// Merged counters across all shards.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Client::stats`].
+    pub fn stats_merged(&self) -> Result<Stats, ServiceError> {
+        let mut merged = Stats::new();
+        for s in self.stats()? {
+            merged.merge(&s);
+        }
+        Ok(merged)
+    }
+
+    /// Serializes a live session into a portable snapshot blob (the
+    /// `deltaos-store` checkpoint encoding), taken between batches.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownSession`] if it does not exist,
+    /// [`ServiceError::SnapshotTooLarge`] if the encoding would not fit
+    /// in one wire frame.
+    pub fn snapshot(&self, session: SessionId) -> Result<Vec<u8>, ServiceError> {
+        let Response::Snapshot(blob) = self.call(Request::Snapshot { session })? else {
+            unreachable!("a snapshot answers Snapshot")
+        };
+        Ok(blob)
+    }
+
+    /// Materializes a new session from a [`Client::snapshot`] blob
+    /// (possibly from another runtime), blocking for the new id. A probe
+    /// on the restored session answers exactly as on the original.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::InvalidSnapshot`] if the blob does not decode or
+    /// violates RAG invariants, [`ServiceError::BadDimensions`] above
+    /// `max_dim`, [`ServiceError::TooManySessions`] when the shard is
+    /// full.
+    pub fn restore(&self, snapshot: Vec<u8>) -> Result<SessionId, ServiceError> {
+        let Response::Opened(id) = self.call(Request::Restore { snapshot })? else {
+            unreachable!("a restore answers Opened")
+        };
+        Ok(id)
+    }
+
+    /// Opens an avoidance-brokered session, blocking for the id. With
+    /// [`AvoidanceMode::Off`] this is [`Client::open`]; the other modes
+    /// give the session's graph to the Algorithm-3 avoider, driven
+    /// through [`Client::acquire`]/[`Client::broker_release`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Client::open`].
+    pub fn open_avoid(
+        &self,
+        resources: u16,
+        processes: u16,
+        mode: AvoidanceMode,
+    ) -> Result<SessionId, ServiceError> {
+        let Response::Opened(id) = self.call(Request::OpenAvoid {
+            resources,
+            processes,
+            mode,
+        })?
+        else {
+            unreachable!("an open answers Opened")
+        };
+        Ok(id)
+    }
+
+    /// Sets process `p`'s arbitration priority on a broker session
+    /// (smaller level = higher priority), blocking for the `Ack`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::AvoidanceOff`] on a plain session,
+    /// [`ServiceError::UnknownSession`] if it does not exist.
+    pub fn set_priority(
+        &self,
+        session: SessionId,
+        p: ProcId,
+        priority: Priority,
+    ) -> Result<Response, ServiceError> {
+        self.call(Request::SetPriority {
+            session,
+            p,
+            priority,
+        })
+    }
+
+    /// Runs the avoidance request command for `(p, q)`, blocking for the
+    /// decision. With `wait` set, a deferred acquire parks in the shard's
+    /// waiter table and answers only when a later release — from any
+    /// connection or handle — grants the edge. With `wait` unset it
+    /// answers [`Response::Deferred`] at once and the caller polls by
+    /// re-issuing the acquire.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Client::set_priority`], including a session closed while
+    /// waiting.
+    pub fn acquire(
+        &self,
+        session: SessionId,
+        p: ProcId,
+        q: ResId,
+        wait: bool,
+    ) -> Result<Response, ServiceError> {
+        self.call(Request::Acquire {
+            session,
+            p,
+            q,
+            wait,
+        })
+    }
+
+    /// Runs the avoidance release command for `(p, q)`, blocking for the
+    /// [`Response::Resolved`] decision. Grants it fixes wake blocked
+    /// acquires wherever they were issued.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Client::set_priority`].
+    pub fn broker_release(
+        &self,
+        session: SessionId,
+        p: ProcId,
+        q: ResId,
+    ) -> Result<Response, ServiceError> {
+        self.call(Request::BrokerRelease { session, p, q })
+    }
+
+    /// Honors every outstanding give-up ask targeting `p`, blocking for
+    /// the final release's decision.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Client::set_priority`].
+    pub fn give_up_ack(&self, session: SessionId, p: ProcId) -> Result<Response, ServiceError> {
+        self.call(Request::GiveUpAck { session, p })
+    }
+
+    /// Durability barrier on `session`'s shard (a routing key only; it
+    /// need not be open): fsyncs the WAL, releases withheld replies and
+    /// answers [`Response::Synced`] with the durable frontier (0 without
+    /// durability).
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Shutdown`] after stop.
+    pub fn sync(&self, session: SessionId) -> Result<Response, ServiceError> {
+        self.call(Request::Sync { session })
+    }
+
+    /// One replication poll against `shard`: a bounded
+    /// [`Response::WalSegment`] from `from_seq` (empty = caught up),
+    /// folding `acked_seq` into the `repl_ack` release floor.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownSession`] for an out-of-range shard,
+    /// [`ServiceError::SubscribeGap`] when `from_seq` fell behind the
+    /// replication buffer.
+    pub fn subscribe(
+        &self,
+        shard: u16,
+        from_seq: u64,
+        acked_seq: u64,
+    ) -> Result<Response, ServiceError> {
+        self.call(Request::Subscribe {
+            shard,
+            from_seq,
+            acked_seq,
+        })
+    }
+
+    /// `shard`'s replication posture (role, epoch, frontiers).
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownSession`] for an out-of-range shard.
+    pub fn replica_status(&self, shard: u16) -> Result<Response, ServiceError> {
+        self.call(Request::ReplicaStatus { shard })
+    }
+
+    /// Promotes `shard` to primary under `epoch`, which must strictly
+    /// advance its current one; answers [`Response::ReplicaStatus`].
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownSession`] for an out-of-range shard,
+    /// [`ServiceError::EpochFenced`] when `epoch` does not advance.
+    pub fn promote(&self, shard: u16, epoch: u64) -> Result<Response, ServiceError> {
+        self.call(Request::Promote { shard, epoch })
+    }
+
+    /// Feeds a primary's WAL records (as pulled by [`Client::subscribe`]
+    /// against it) into replica `shard`: mirrored byte-for-byte into the
+    /// local WAL and applied through the recovery interpreter. Answers
+    /// [`Response::ReplicaStatus`], whose `durable_seq` the tailer acks
+    /// back to the primary.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownSession`] for an out-of-range shard,
+    /// [`ServiceError::EpochFenced`] on a primary or for records below
+    /// the local epoch, [`ServiceError::SubscribeGap`] on a sequence gap.
+    pub fn repl_apply(
+        &self,
+        shard: u16,
+        records: Vec<(u64, u64, Vec<u8>)>,
+    ) -> Result<Response, ServiceError> {
+        let session = self.mesh.shard_key(shard)?;
+        recv_reply(&self.submit(ExecJob::ReplApply { session, records })?)
     }
 }
 

@@ -1,13 +1,12 @@
-//! Durability glue between the shard workers and `deltaos-store`.
+//! Durability glue between the shards and `deltaos-store`.
 //!
-//! With a [`DurabilityConfig`] set on
-//! [`ServiceConfig`](crate::ServiceConfig), every shard worker owns a
-//! [`ShardStore`]: state-mutating jobs (`Open`/`Batch`/`Close`/
+//! With a [`DurabilityConfig`] set on the runtime's `CoreConfig`, every
+//! shard owns a [`ShardStore`]: state-mutating jobs (`Open`/`Batch`/`Close`/
 //! `Restore` and the broker commands) are appended to the shard's WAL
 //! and committed **before**
 //! they are applied or replied to — write-ahead in the literal sense, so
 //! anything a client saw acknowledged is re-creatable. On startup the
-//! worker loads its latest checkpoint, replays the surviving WAL suffix
+//! owning loop loads the shard's latest checkpoint, replays the surviving WAL suffix
 //! through the exact same [`Session::apply_batch`] path the live service
 //! uses, and then serves — which is why recovered sessions are
 //! *bit-identical* to an uninterrupted run: same code, same order, same
@@ -18,7 +17,7 @@
 //! that the service reports through `sim::Stats`; skipping them would
 //! make recovery observably different.
 //!
-//! Durability I/O failures panic the shard worker. The alternative —
+//! Durability I/O failures panic the owning core loop. The alternative —
 //! acknowledging work that was not logged — silently breaks the
 //! recovery contract; fail-stop is the honest behavior for a WAL.
 
@@ -36,9 +35,8 @@ use crate::broker::Broker;
 use crate::proto::Event;
 use crate::session::Session;
 
-/// Durability settings carried in
-/// [`ServiceConfig`](crate::ServiceConfig). Absent (`None`), the service
-/// runs memory-only exactly as before — the store is default-off.
+/// Durability settings carried in the runtime's `CoreConfig`. Absent
+/// (`None`), the service runs memory-only — the store is default-off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Store directory (created if missing). Holds `store.meta`, one
@@ -82,7 +80,7 @@ impl DurabilityConfig {
 }
 
 /// What one shard recovered at startup, surfaced through
-/// [`Service::recovery`](crate::Service::recovery) and as `store.*`
+/// `CoreRuntime::recovery` and as `store.*`
 /// counters in shard stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryInfo {
@@ -124,8 +122,8 @@ pub(crate) fn proto_event(ev: &WalEvent) -> Event {
     }
 }
 
-/// One shard worker's persistence handle: the open [`ShardStore`] plus
-/// the knobs and recovery info the worker needs at serve time.
+/// One shard's persistence handle: the open [`ShardStore`] plus
+/// the knobs and recovery info the shard needs at serve time.
 pub(crate) struct ShardPersist {
     pub store: ShardStore,
     pub checkpoint_every: u64,
@@ -180,6 +178,7 @@ impl ShardPersist {
 
     /// Writes a checkpoint if `checkpoint_every` records accumulated
     /// since the last one (`force` skips the threshold — shutdown path).
+    /// Returns whether it wrote one.
     pub fn maybe_checkpoint(
         &mut self,
         shard: usize,
@@ -188,9 +187,9 @@ impl ShardPersist {
         sessions: &HashMap<u64, Session>,
         brokers: &HashMap<u64, Broker>,
         force: bool,
-    ) {
+    ) -> bool {
         if !force && self.store.records_since_checkpoint() < self.checkpoint_every {
-            return;
+            return false;
         }
         let mut snaps: Vec<SessionSnapshot> = sessions
             .iter()
@@ -211,11 +210,12 @@ impl ShardPersist {
         self.store
             .checkpoint(ckpt)
             .unwrap_or_else(|e| panic!("checkpoint failed: {e}"));
+        true
     }
 }
 
 /// Result of [`open_shard`]: the persistence handle plus the recovered
-/// session table and counter state the worker starts from.
+/// session table and counter state the shard starts from.
 pub(crate) struct RecoveredShard {
     pub persist: ShardPersist,
     pub sessions: HashMap<u64, Session>,

@@ -330,8 +330,8 @@ pub struct ShardStats {
     pub probes: u64,
     /// Engine result-cache hits across the shard's sessions.
     pub cache_hits: u64,
-    /// Maximum observed in-flight jobs (queued + the one executing);
-    /// bounded by `queue_cap + 1`.
+    /// Always 0: the runtime executes shards inline and has no request
+    /// queue. Kept so the wire encoding stays unchanged.
     pub max_queue_depth: u64,
     /// Reductions served by the dense matrix path (live + retired).
     pub dense_reductions: u64,
@@ -386,11 +386,10 @@ pub struct ShardStats {
     pub promotions: u64,
 }
 
-/// Front-end (event-loop) health counters, serialized in a
-/// [`Response::Stats`] when the serving front-end is the event loop —
-/// operators see reap/busy/backlog health over the wire without process
-/// introspection. The blocking thread-per-connection front-end reports
-/// `None`.
+/// Front-end health counters of the runtime's loops, serialized in a
+/// [`Response::Stats`] — operators see reap/busy/backlog health over the
+/// wire without process introspection. The runtime always reports them;
+/// the field stays optional on the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontendStats {
     /// Connections accepted since bind.
@@ -424,10 +423,9 @@ impl FrontendStats {
     }
 }
 
-/// Per-loop counters of the fused thread-per-core runtime
+/// Per-loop counters of the thread-per-core runtime
 /// (`service::core_runtime`), serialized in a [`Response::Stats`]. One
-/// row per pinned loop; front-ends without per-core loops (the worker
-/// pool behind `TcpServer`/`EvServer`) report an empty list.
+/// row per pinned loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Loop index (0-based).
@@ -798,7 +796,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Serializes a request payload (no length prefix), **appending** to
 /// `out`. The buffer is deliberately not cleared: callers reuse one
 /// allocation across frames (clearing between them) or append several
-/// frames back to back (the event-loop front-end's coalesced writes).
+/// frames back to back (the runtime's coalesced writes).
 pub fn encode_request_into(req: &Request, out: &mut Vec<u8>) {
     match req {
         Request::Open {

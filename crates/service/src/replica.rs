@@ -1,13 +1,13 @@
 //! WAL-streaming replica tailer: the follower half of the replication
 //! pair.
 //!
-//! A follower process runs a normal [`Service`](crate::Service) with
-//! [`ServiceConfig::replica`](crate::ServiceConfig::replica) set (so its
+//! A follower process runs a normal [`CoreRuntime`](crate::CoreRuntime)
+//! with [`CoreConfig::replica`](crate::CoreConfig::replica) set (so its
 //! shards refuse mutations) and one [`ReplicaTailer`] thread that
 //!
 //! 1. polls the primary's wire `Subscribe` op per shard, pulling bounded
 //!    [`Response::WalSegment`]s from its replication buffer,
-//! 2. feeds each segment into the local service through
+//! 2. feeds each segment into the local runtime through the in-process
 //!    [`Client::repl_apply`], which mirrors the records byte-for-byte
 //!    into the local WAL and applies them through the recovery
 //!    interpreter, and
@@ -19,7 +19,7 @@
 //! primary is alive. When polls *fail* for longer than
 //! [`TailerConfig::heartbeat_timeout`] the tailer declares the primary
 //! dead; with [`TailerConfig::auto_promote`] set it then promotes every
-//! local shard under `epoch + 1` and exits — the service it tails for is
+//! local shard under `epoch + 1` and exits — the runtime it tails for is
 //! now the primary, and the deposed one's unreplicated WAL tail is
 //! fenced off by the epoch check in `repl_apply` should it ever try to
 //! stream here.
@@ -37,8 +37,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::core_runtime::Client;
 use crate::proto::{ErrorCode, ReplStatus, Request, Response};
-use crate::shard::{Client, ServiceError};
+use crate::shard::ServiceError;
 use crate::tcp::TcpClient;
 
 /// [`ReplicaTailer`] construction parameters.
@@ -102,8 +103,8 @@ pub struct ReplicaTailer {
 }
 
 impl ReplicaTailer {
-    /// Spawns the tailer: `local` is a client of the *replica* service
-    /// this process runs, `cfg.primary` the wire address of the service
+    /// Spawns the tailer: `local` is a client of the *replica* runtime
+    /// this process runs, `cfg.primary` the wire address of the primary
     /// to tail.
     pub fn start(local: Client, cfg: TailerConfig) -> ReplicaTailer {
         let stop = Arc::new(AtomicBool::new(false));

@@ -2,7 +2,7 @@
 //! [`DetectEngine`], so consecutive batches ride the engine's delta
 //! journal and result cache instead of rebuilding per request.
 //!
-//! A session is strictly single-owner — the shard worker that houses it
+//! A session is strictly single-owner — the core loop that houses it
 //! applies events in submission order — which is what makes sharded
 //! execution replayable: feeding the same event log through a fresh
 //! `Session` yields byte-identical results (the determinism the
@@ -50,11 +50,11 @@ impl Session {
         }
     }
 
-    /// Creates a session whose engine shares the shard worker's
+    /// Creates a session whose engine shares the owning loop's
     /// [`WorkerPool`] for large-matrix reductions. Results are
     /// bit-identical to [`Session::new`] at any thread count; the pool is
-    /// shared per shard worker, never per session, so thread count stays
-    /// `shards × par.threads` regardless of session count.
+    /// shared per core loop, never per session, so thread count stays
+    /// `loops × par.threads` regardless of session count.
     pub fn with_parallel(
         resources: u16,
         processes: u16,
@@ -109,7 +109,7 @@ impl Session {
 
     /// Applies a whole batch in submission order, appending one result
     /// per event to `out` and returning the tallies. This is the single
-    /// ingestion path shared by the shard workers and the replay checks
+    /// ingestion path shared by the shards and the replay checks
     /// (the e2e tests feed a connection's event log through a fresh
     /// session via this method and demand bit-identical results).
     pub fn apply_batch(&mut self, events: &[Event], out: &mut Vec<EventResult>) -> BatchTally {

@@ -1,31 +1,16 @@
-//! The sharded service: a fixed pool of worker threads, each owning the
-//! sessions whose ids hash to it, fed through bounded queues.
+//! One shard's deadlock unit (`ShardCore`) and the service's typed
+//! error ([`ServiceError`]).
 //!
-//! Design points, mirroring the DDU/DAU's role as a shared arbitration
-//! unit serving many PEs:
-//!
-//! * **Sharding** — `session_id % shards` pins every session to exactly
-//!   one worker, so a session's events are applied in submission order
-//!   with no locks around the RAG or engine.
-//! * **Backpressure** — each shard's queue is a bounded
-//!   `mpsc::sync_channel(queue_cap)`; submission uses `try_send` and
-//!   surfaces a full queue as [`ServiceError::Busy`] immediately instead
-//!   of buffering unboundedly. Memory is bounded by construction.
-//! * **Graceful shutdown** — [`Service::shutdown`] enqueues a marker
-//!   *behind* all accepted work; workers drain everything before
-//!   exiting, so every accepted batch gets its reply.
-//! * **Stats** — per-shard counters (events ingested, probes served,
-//!   engine cache hits, max observed queue depth) reported as
-//!   [`deltaos_sim::Stats`] so they merge with the rest of the
-//!   simulator's counter plumbing.
+//! `session_id % shards` pins every session to exactly one shard, so a
+//! session's events are applied in submission order with no locks
+//! around the RAG or engine. The [`crate::core_runtime`] loops own the
+//! shards and run them inline; this module decides, parks and wakes,
+//! while reply delivery stays the loop's job.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use deltaos_core::par::{ParConfig, WorkerPool};
 use deltaos_core::{Priority, ProcId, ResId};
@@ -33,91 +18,16 @@ use deltaos_sim::{Histogram, Stats};
 use deltaos_store::{BrokerWalOp, SessionSnapshot, WalOp};
 
 use crate::broker::Broker;
+use crate::core_runtime::Ticket;
 use crate::durable::{self, DurabilityConfig, RecoveryInfo};
 use crate::proto::{
     AvoidanceMode, ErrorCode, Event, EventResult, ReplStatus, Response, SessionId, MAX_FRAME,
 };
 use crate::session::Session;
 
-/// Service construction parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceConfig {
-    /// Worker threads (and queues); sessions are pinned by
-    /// `session_id % shards`.
-    pub shards: usize,
-    /// Bounded queue capacity per shard; a full queue answers
-    /// [`ServiceError::Busy`].
-    pub queue_cap: usize,
-    /// Admission control: maximum live sessions per shard.
-    pub max_sessions_per_shard: usize,
-    /// Admission control: maximum events per batch.
-    pub max_batch: usize,
-    /// Admission control: maximum session dimension (rows or columns).
-    pub max_dim: u16,
-    /// Parallel reduction configuration applied to every session engine.
-    /// With `par.threads > 1` each shard worker owns one
-    /// [`deltaos_core::par::WorkerPool`] shared by all of its sessions
-    /// (total threads stay `shards × par.threads`); the default keeps
-    /// every reduction serial. Results are bit-identical either way.
-    pub par: ParConfig,
-    /// Round-robin CPU-affinity hint: when set, shard worker `k` pins
-    /// itself to CPU `k * par.threads` and its pool workers to the CPUs
-    /// after it, modulo [`deltaos_core::par::host_cpus`]. A placement
-    /// hint only — results are identical whether or not pins take.
-    pub pin_cpus: bool,
-    /// Durability: `Some` gives every shard a write-ahead log +
-    /// checkpoint store under [`DurabilityConfig::dir`] and makes
-    /// [`Service::start`] recover whatever a previous incarnation left
-    /// there. `None` (the default) is the memory-only service, byte-
-    /// and allocation-identical to before the store existed.
-    pub durability: Option<DurabilityConfig>,
-    /// Start every shard as a read-only replica: mutations are refused
-    /// with [`ServiceError::ReadOnlyReplica`] and state advances only
-    /// through [`Client::repl_apply`] feeding it the primary's WAL
-    /// records. A replica becomes a primary through
-    /// [`Client::promote`] under a strictly larger epoch.
-    pub replica: bool,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            shards: 4,
-            queue_cap: 64,
-            max_sessions_per_shard: 1024,
-            max_batch: crate::proto::MAX_BATCH,
-            max_dim: 4096,
-            par: ParConfig::default(),
-            pin_cpus: false,
-            durability: None,
-            replica: false,
-        }
-    }
-}
-
-impl ServiceConfig {
-    /// Auto-sizes the worker topology from
-    /// [`std::thread::available_parallelism`]: one shard per CPU up to
-    /// 8, and per-shard reduction pools splitting whatever CPUs remain
-    /// (via [`ParConfig::auto_for_shards`], so `shards × par.threads`
-    /// never oversubscribes the host). Everything else keeps the
-    /// defaults; sizing is a deployment decision, determinism is not.
-    pub fn auto_sized() -> ServiceConfig {
-        let shards = deltaos_core::par::host_cpus().clamp(1, 8);
-        ServiceConfig {
-            shards,
-            par: ParConfig::auto_for_shards(shards),
-            ..ServiceConfig::default()
-        }
-    }
-}
-
 /// Typed in-process service failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The target shard's queue is full — retry later. Nothing was
-    /// applied.
-    Busy,
     /// No such session (never opened, closed, or routed elsewhere).
     UnknownSession,
     /// The shard's session table is at `max_sessions_per_shard`.
@@ -153,7 +63,6 @@ pub enum ServiceError {
 impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServiceError::Busy => write!(f, "shard queue full, retry"),
             ServiceError::UnknownSession => write!(f, "unknown session"),
             ServiceError::TooManySessions => write!(f, "shard session table full"),
             ServiceError::BatchTooLarge => write!(f, "batch exceeds configured cap"),
@@ -177,9 +86,6 @@ impl std::error::Error for ServiceError {}
 impl From<ServiceError> for ErrorCode {
     fn from(e: ServiceError) -> Self {
         match e {
-            // Busy is a distinct wire response; mapping it here keeps the
-            // conversion total for error paths that reach it anyway.
-            ServiceError::Busy => ErrorCode::BadRequest,
             ServiceError::UnknownSession => ErrorCode::UnknownSession,
             ServiceError::TooManySessions => ErrorCode::TooManySessions,
             ServiceError::BatchTooLarge => ErrorCode::BatchTooLarge,
@@ -196,110 +102,7 @@ impl From<ServiceError> for ErrorCode {
     }
 }
 
-/// In-flight job meter: `depth` counts jobs enqueued but not yet fully
-/// processed (the queue plus at most the one job the worker is
-/// executing), `max_depth` its high-water mark. Because the increment
-/// happens only *after* a successful bounded `try_send`, the observed
-/// maximum can never exceed `queue_cap + 1`.
-#[derive(Debug, Default)]
-struct ShardMeter {
-    depth: AtomicI64,
-    max_depth: AtomicI64,
-}
-
-impl ShardMeter {
-    fn enqueued(&self) {
-        let now = self.depth.fetch_add(1, Ordering::AcqRel) + 1;
-        self.max_depth.fetch_max(now, Ordering::AcqRel);
-    }
-
-    fn finished(&self) {
-        self.depth.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    fn max(&self) -> u64 {
-        self.max_depth.load(Ordering::Acquire).max(0) as u64
-    }
-}
-
-enum Job {
-    Open {
-        session: SessionId,
-        resources: u16,
-        processes: u16,
-        reply: Sender<Result<SessionId, ServiceError>>,
-    },
-    Batch {
-        session: SessionId,
-        events: Vec<Event>,
-        reply: Sender<Result<Vec<EventResult>, ServiceError>>,
-    },
-    Close {
-        session: SessionId,
-        reply: Sender<Result<(), ServiceError>>,
-    },
-    Stats {
-        reply: Sender<Stats>,
-    },
-    Snapshot {
-        session: SessionId,
-        reply: Sender<Result<Vec<u8>, ServiceError>>,
-    },
-    Restore {
-        session: SessionId,
-        snapshot: Vec<u8>,
-        reply: Sender<Result<SessionId, ServiceError>>,
-    },
-    OpenAvoid {
-        session: SessionId,
-        resources: u16,
-        processes: u16,
-        mode: AvoidanceMode,
-        reply: Sender<Result<SessionId, ServiceError>>,
-    },
-    /// A brokered avoidance command. The reply slot may outlive the job:
-    /// a `wait`ing Acquire the broker defers parks its sender in the
-    /// shard's waiter table and fills it when a later command grants the
-    /// edge — that is the blocking primitive clients see.
-    Broker {
-        session: SessionId,
-        op: BrokerCmd,
-        reply: Sender<Result<Response, ServiceError>>,
-    },
-    /// Client-forced durability barrier: fsync the shard's WAL, release
-    /// every withheld reply, answer with the durable frontier.
-    Sync {
-        reply: Sender<Result<Response, ServiceError>>,
-    },
-    /// Replication poll: serve a bounded WAL segment from `from_seq`
-    /// and fold the follower's durable ack into the release floor.
-    Subscribe {
-        from_seq: u64,
-        acked_seq: u64,
-        reply: Sender<Result<Response, ServiceError>>,
-    },
-    /// Replication posture read (role, epoch, frontiers). Passive.
-    ReplicaStatus {
-        reply: Sender<Result<Response, ServiceError>>,
-    },
-    /// Promote this shard to primary under a strictly larger epoch.
-    Promote {
-        epoch: u64,
-        reply: Sender<Result<Response, ServiceError>>,
-    },
-    /// Follower ingest: mirror the primary's WAL records (same seqs,
-    /// same epochs) and apply them through the recovery path.
-    ReplApply {
-        records: Vec<(u64, u64, Vec<u8>)>,
-        reply: Sender<Result<Response, ServiceError>>,
-    },
-    /// Shutdown marker: enqueued behind all accepted work by
-    /// [`Service::shutdown`], so processing it means the queue drained.
-    Shutdown,
-}
-
-/// The avoidance commands multiplexed through [`Job::Broker`] and
-/// executed inline by the thread-per-core runtime.
+/// The avoidance commands a broker session executes.
 pub(crate) enum BrokerCmd {
     SetPriority { p: ProcId, priority: Priority },
     Acquire { p: ProcId, q: ResId, wait: bool },
@@ -308,777 +111,14 @@ pub(crate) enum BrokerCmd {
 }
 
 /// A blocked `Acquire`'s parked reply slot, filled by the grant a later
-/// `Release`/`GiveUpAck` fixes. The slot type is the front-end's choice:
-/// an mpsc sender for the channel-fed worker pool, a connection ticket
-/// for the fused thread-per-core runtime.
-struct Waiter<W> {
+/// `Release`/`GiveUpAck` fixes.
+struct Waiter {
     p: ProcId,
     q: ResId,
-    slot: W,
+    slot: Ticket,
 }
 
-struct Shared {
-    txs: Vec<SyncSender<Job>>,
-    meters: Vec<Arc<ShardMeter>>,
-    next_session: AtomicU64,
-    config: ServiceConfig,
-}
-
-/// The running service. Create with [`Service::start`], talk to it via
-/// [`Service::client`] handles, stop it with [`Service::shutdown`].
-pub struct Service {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<Stats>>,
-    recovery: Vec<RecoveryInfo>,
-}
-
-/// Cheap, cloneable in-process handle. All methods are safe to call from
-/// any thread; blocking methods wait only for their own reply.
-#[derive(Clone)]
-pub struct Client {
-    shared: Arc<Shared>,
-}
-
-impl Service {
-    /// Spawns the worker pool and returns the running service. With
-    /// durability configured, initializes the store directory, waits for
-    /// every shard to finish recovery (checkpoint load + WAL replay),
-    /// and seeds the session-id allocator above every recovered id —
-    /// recovered sessions are addressable under their original ids the
-    /// moment this returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.shards` or `config.queue_cap` is zero, and on
-    /// any durability storage failure (fail-stop: a service that cannot
-    /// log must not acknowledge work).
-    pub fn start(config: ServiceConfig) -> Service {
-        assert!(config.shards > 0, "need at least one shard");
-        assert!(config.queue_cap > 0, "need a non-zero queue capacity");
-        if let Some(d) = &config.durability {
-            deltaos_store::init_dir(&d.dir, config.shards as u32)
-                .unwrap_or_else(|e| panic!("store init failed: {e}"));
-        }
-        let (ready_tx, ready_rx) = mpsc::channel::<RecoveryInfo>();
-        let mut txs = Vec::with_capacity(config.shards);
-        let mut meters = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        for shard_id in 0..config.shards {
-            let (tx, rx) = mpsc::sync_channel(config.queue_cap);
-            let meter = Arc::new(ShardMeter::default());
-            txs.push(tx);
-            meters.push(Arc::clone(&meter));
-            let worker_config = config.clone();
-            let ready = config.durability.is_some().then(|| ready_tx.clone());
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("deltaos-shard-{shard_id}"))
-                    .spawn(move || run_worker(shard_id, rx, meter, worker_config, ready))
-                    .expect("spawn shard worker"),
-            );
-        }
-        drop(ready_tx);
-        let mut recovery = Vec::new();
-        if config.durability.is_some() {
-            // Recovery handshake: serve only after every shard replayed.
-            // A worker that panics during recovery drops its sender and
-            // surfaces here instead of hanging the start.
-            for _ in 0..config.shards {
-                let info = ready_rx.recv().expect("shard worker died during recovery");
-                recovery.push(info);
-            }
-            recovery.sort_by_key(|r| r.shard);
-        }
-        let next = recovery.iter().map(|r| r.next_session).max().unwrap_or(0);
-        Service {
-            shared: Arc::new(Shared {
-                txs,
-                meters,
-                next_session: AtomicU64::new(next),
-                config,
-            }),
-            workers,
-            recovery,
-        }
-    }
-
-    /// A new client handle.
-    pub fn client(&self) -> Client {
-        Client {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// The construction parameters.
-    pub fn config(&self) -> ServiceConfig {
-        self.shared.config.clone()
-    }
-
-    /// Per-shard recovery summaries from this start (index = shard id).
-    /// Empty when the service runs without durability.
-    pub fn recovery(&self) -> &[RecoveryInfo] {
-        &self.recovery
-    }
-
-    /// Graceful shutdown: enqueues a drain marker behind all accepted
-    /// work on every shard, waits for the workers to finish it, and
-    /// returns each shard's final [`Stats`] (index = shard id). Every
-    /// batch accepted before the call is fully processed and replied to;
-    /// submissions racing the shutdown fail with
-    /// [`ServiceError::Shutdown`] (or [`ServiceError::Busy`]) rather
-    /// than being dropped silently.
-    pub fn shutdown(self) -> Vec<Stats> {
-        for (tx, meter) in self.shared.txs.iter().zip(&self.shared.meters) {
-            // Blocking send: waits for queue space behind the accepted
-            // backlog instead of failing, preserving FIFO drain order.
-            if tx.send(Job::Shutdown).is_ok() {
-                meter.enqueued();
-            }
-        }
-        self.workers
-            .into_iter()
-            .map(|w| w.join().expect("shard worker panicked"))
-            .collect()
-    }
-}
-
-impl fmt::Debug for Service {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Service")
-            .field("config", &self.shared.config)
-            .finish_non_exhaustive()
-    }
-}
-
-impl fmt::Debug for Client {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Client")
-            .field("shards", &self.shared.config.shards)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Client {
-    fn shard_of(&self, session: SessionId) -> usize {
-        (session.0 % self.shared.config.shards as u64) as usize
-    }
-
-    /// Bounded enqueue: full queues surface as `Busy`, a stopped service
-    /// as `Shutdown`. The meter is bumped only after the queue accepted
-    /// the job, so `max_queue_depth` stays ≤ `queue_cap + 1`.
-    fn enqueue(&self, shard: usize, job: Job) -> Result<(), ServiceError> {
-        match self.shared.txs[shard].try_send(job) {
-            Ok(()) => {
-                self.shared.meters[shard].enqueued();
-                Ok(())
-            }
-            Err(TrySendError::Full(_)) => Err(ServiceError::Busy),
-            Err(TrySendError::Disconnected(_)) => Err(ServiceError::Shutdown),
-        }
-    }
-
-    /// Opens a session, blocking for the shard's reply.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::BadDimensions`] for zero/over-cap dimensions,
-    /// [`ServiceError::TooManySessions`] when the shard is full,
-    /// [`ServiceError::Busy`] under backpressure.
-    pub fn open(&self, resources: u16, processes: u16) -> Result<SessionId, ServiceError> {
-        let rx = self.open_async(resources, processes)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits an open without waiting; the returned channel yields the
-    /// new session id once the owning shard admitted it. Admission
-    /// checks that need no shard state (dimension caps) still fail
-    /// synchronously. This is what lets the event-loop front-end serve
-    /// opens without ever blocking a loop thread on a shard.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::open`], minus the deferred
-    /// [`ServiceError::TooManySessions`] which arrives on the channel.
-    pub fn open_async(
-        &self,
-        resources: u16,
-        processes: u16,
-    ) -> Result<Receiver<Result<SessionId, ServiceError>>, ServiceError> {
-        let cap = self.shared.config.max_dim;
-        if resources == 0 || processes == 0 || resources > cap || processes > cap {
-            return Err(ServiceError::BadDimensions);
-        }
-        let session = SessionId(self.shared.next_session.fetch_add(1, Ordering::Relaxed));
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(
-            self.shard_of(session),
-            Job::Open {
-                session,
-                resources,
-                processes,
-                reply,
-            },
-        )?;
-        Ok(rx)
-    }
-
-    /// Applies a batch, blocking for the per-event results.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::batch_async`].
-    pub fn batch(
-        &self,
-        session: SessionId,
-        events: Vec<Event>,
-    ) -> Result<Vec<EventResult>, ServiceError> {
-        let rx = self.batch_async(session, events)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits a batch without waiting; the returned channel yields the
-    /// results once the owning shard processed the batch. Lets one
-    /// client pipeline work across shards (and lets tests drive a shard
-    /// into backpressure deterministically).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Busy`] when the shard queue is full (nothing was
-    /// applied), [`ServiceError::BatchTooLarge`] above the admission
-    /// cap, [`ServiceError::Shutdown`] after shutdown.
-    pub fn batch_async(
-        &self,
-        session: SessionId,
-        events: Vec<Event>,
-    ) -> Result<Receiver<Result<Vec<EventResult>, ServiceError>>, ServiceError> {
-        if events.len() > self.shared.config.max_batch {
-            return Err(ServiceError::BatchTooLarge);
-        }
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(
-            self.shard_of(session),
-            Job::Batch {
-                session,
-                events,
-                reply,
-            },
-        )?;
-        Ok(rx)
-    }
-
-    /// Closes a session, folding its engine counters into shard stats.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] if it does not exist.
-    pub fn close(&self, session: SessionId) -> Result<(), ServiceError> {
-        let rx = self.close_async(session)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits a close without waiting; the returned channel yields the
-    /// result once the owning shard tore the session down.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Busy`] / [`ServiceError::Shutdown`] from the
-    /// enqueue; [`ServiceError::UnknownSession`] arrives on the channel.
-    pub fn close_async(
-        &self,
-        session: SessionId,
-    ) -> Result<Receiver<Result<(), ServiceError>>, ServiceError> {
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(self.shard_of(session), Job::Close { session, reply })?;
-        Ok(rx)
-    }
-
-    /// Snapshot of every shard's counters (index = shard id).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Busy`] / [`ServiceError::Shutdown`] as for any
-    /// submission.
-    pub fn stats(&self) -> Result<Vec<Stats>, ServiceError> {
-        self.stats_async()?
-            .into_iter()
-            .map(|rx| rx.recv().map_err(|_| ServiceError::Shutdown))
-            .collect()
-    }
-
-    /// Submits a stats snapshot to every shard without waiting; the
-    /// returned receivers (index = shard id) each yield that shard's
-    /// counters. If a later shard's queue is full the earlier shards
-    /// still process their (side-effect-free) snapshot jobs; the replies
-    /// are simply dropped with the receivers.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Busy`] / [`ServiceError::Shutdown`] as for any
-    /// submission.
-    pub fn stats_async(&self) -> Result<Vec<Receiver<Stats>>, ServiceError> {
-        let mut receivers = Vec::with_capacity(self.shared.config.shards);
-        for shard in 0..self.shared.config.shards {
-            let (reply, rx) = mpsc::channel();
-            self.enqueue(shard, Job::Stats { reply })?;
-            receivers.push(rx);
-        }
-        Ok(receivers)
-    }
-
-    /// Serializes a live session into a portable snapshot blob (the
-    /// `deltaos-store` checkpoint encoding), blocking for the reply. The
-    /// session keeps running; the snapshot is a consistent copy taken
-    /// between batches.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] if it does not exist,
-    /// [`ServiceError::SnapshotTooLarge`] if the encoding would not fit
-    /// in one wire frame.
-    pub fn snapshot(&self, session: SessionId) -> Result<Vec<u8>, ServiceError> {
-        let rx = self.snapshot_async(session)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits a snapshot request without waiting.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Busy`] / [`ServiceError::Shutdown`] from the
-    /// enqueue; session errors arrive on the channel.
-    pub fn snapshot_async(
-        &self,
-        session: SessionId,
-    ) -> Result<Receiver<Result<Vec<u8>, ServiceError>>, ServiceError> {
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(self.shard_of(session), Job::Snapshot { session, reply })?;
-        Ok(rx)
-    }
-
-    /// Materializes a new session from a snapshot blob produced by
-    /// [`Client::snapshot`] (possibly by another service instance),
-    /// blocking for the new session id. Counters, cached detection
-    /// results, and RAG edges all carry over — a probe on the restored
-    /// session answers exactly as it would have on the original.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::InvalidSnapshot`] if the blob does not decode or
-    /// violates RAG invariants, [`ServiceError::BadDimensions`] if it
-    /// exceeds `max_dim`, [`ServiceError::TooManySessions`] when the
-    /// target shard is full.
-    pub fn restore(&self, snapshot: Vec<u8>) -> Result<SessionId, ServiceError> {
-        let rx = self.restore_async(snapshot)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits a restore without waiting; the returned channel yields the
-    /// freshly assigned session id once the owning shard installed it.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Busy`] / [`ServiceError::Shutdown`] from the
-    /// enqueue; decode/admission errors arrive on the channel.
-    pub fn restore_async(
-        &self,
-        snapshot: Vec<u8>,
-    ) -> Result<Receiver<Result<SessionId, ServiceError>>, ServiceError> {
-        let session = SessionId(self.shared.next_session.fetch_add(1, Ordering::Relaxed));
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(
-            self.shard_of(session),
-            Job::Restore {
-                session,
-                snapshot,
-                reply,
-            },
-        )?;
-        Ok(rx)
-    }
-
-    /// Opens an avoidance-brokered session, blocking for the id. With
-    /// [`AvoidanceMode::Off`] this is literally [`Client::open`] — a
-    /// plain detection session, no broker. The other modes create a
-    /// session whose graph is owned by the Algorithm-3 avoider and
-    /// driven through [`Client::acquire`]/[`Client::broker_release`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::open`].
-    pub fn open_avoid(
-        &self,
-        resources: u16,
-        processes: u16,
-        mode: AvoidanceMode,
-    ) -> Result<SessionId, ServiceError> {
-        let rx = self.open_avoid_async(resources, processes, mode)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits an avoidance open without waiting.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::open_async`].
-    pub fn open_avoid_async(
-        &self,
-        resources: u16,
-        processes: u16,
-        mode: AvoidanceMode,
-    ) -> Result<Receiver<Result<SessionId, ServiceError>>, ServiceError> {
-        let cap = self.shared.config.max_dim;
-        if resources == 0 || processes == 0 || resources > cap || processes > cap {
-            return Err(ServiceError::BadDimensions);
-        }
-        let session = SessionId(self.shared.next_session.fetch_add(1, Ordering::Relaxed));
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(
-            self.shard_of(session),
-            Job::OpenAvoid {
-                session,
-                resources,
-                processes,
-                mode,
-                reply,
-            },
-        )?;
-        Ok(rx)
-    }
-
-    fn broker_op(
-        &self,
-        session: SessionId,
-        op: BrokerCmd,
-    ) -> Result<Receiver<Result<Response, ServiceError>>, ServiceError> {
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(self.shard_of(session), Job::Broker { session, op, reply })?;
-        Ok(rx)
-    }
-
-    /// Sets process `p`'s arbitration priority on a broker session
-    /// (smaller level = higher priority), blocking for the `Ack`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::AvoidanceOff`] on a plain session,
-    /// [`ServiceError::UnknownSession`] if it does not exist.
-    pub fn set_priority(
-        &self,
-        session: SessionId,
-        p: ProcId,
-        priority: Priority,
-    ) -> Result<Response, ServiceError> {
-        let rx = self.set_priority_async(session, p, priority)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits a priority change without waiting.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Busy`] / [`ServiceError::Shutdown`] from the
-    /// enqueue; session errors arrive on the channel.
-    pub fn set_priority_async(
-        &self,
-        session: SessionId,
-        p: ProcId,
-        priority: Priority,
-    ) -> Result<Receiver<Result<Response, ServiceError>>, ServiceError> {
-        self.broker_op(session, BrokerCmd::SetPriority { p, priority })
-    }
-
-    /// Runs the avoidance request command for `(p, q)`, blocking for the
-    /// decision. With `wait` set, a deferred acquire does not answer
-    /// until a later release grants the edge — the call blocks, which is
-    /// the whole point of the broker. With `wait` unset it answers
-    /// [`Response::Deferred`] immediately and the client polls by
-    /// re-issuing the acquire (idempotent: re-polling a still-waiting
-    /// edge defers again, re-polling a granted one answers `Granted`).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::AvoidanceOff`] on a plain session,
-    /// [`ServiceError::UnknownSession`] if it does not exist (including
-    /// a session closed while waiting).
-    pub fn acquire(
-        &self,
-        session: SessionId,
-        p: ProcId,
-        q: ResId,
-        wait: bool,
-    ) -> Result<Response, ServiceError> {
-        let rx = self.acquire_async(session, p, q, wait)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits an acquire without waiting; with `wait` set the returned
-    /// channel stays silent until the edge is granted (or the session
-    /// dies), which is how the event-loop front-end serves blocking
-    /// acquires without blocking a loop thread.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Busy`] / [`ServiceError::Shutdown`] from the
-    /// enqueue; session errors arrive on the channel.
-    pub fn acquire_async(
-        &self,
-        session: SessionId,
-        p: ProcId,
-        q: ResId,
-        wait: bool,
-    ) -> Result<Receiver<Result<Response, ServiceError>>, ServiceError> {
-        self.broker_op(session, BrokerCmd::Acquire { p, q, wait })
-    }
-
-    /// Runs the avoidance release command for `(p, q)`, blocking for the
-    /// [`Response::Resolved`] decision (hand-off arbitration, G-dl
-    /// bypasses, livelock resolution). Grants this fixes wake blocked
-    /// acquires on their own connections.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::set_priority`].
-    pub fn broker_release(
-        &self,
-        session: SessionId,
-        p: ProcId,
-        q: ResId,
-    ) -> Result<Response, ServiceError> {
-        let rx = self.broker_release_async(session, p, q)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits a broker release without waiting.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Busy`] / [`ServiceError::Shutdown`] from the
-    /// enqueue; session errors arrive on the channel.
-    pub fn broker_release_async(
-        &self,
-        session: SessionId,
-        p: ProcId,
-        q: ResId,
-    ) -> Result<Receiver<Result<Response, ServiceError>>, ServiceError> {
-        self.broker_op(session, BrokerCmd::Release { p, q })
-    }
-
-    /// Honors every outstanding give-up ask targeting `p` (releasing the
-    /// asked resources through arbitration), blocking for the final
-    /// release's decision.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::set_priority`].
-    pub fn give_up_ack(&self, session: SessionId, p: ProcId) -> Result<Response, ServiceError> {
-        let rx = self.give_up_ack_async(session, p)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits a give-up acknowledgement without waiting.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Busy`] / [`ServiceError::Shutdown`] from the
-    /// enqueue; session errors arrive on the channel.
-    pub fn give_up_ack_async(
-        &self,
-        session: SessionId,
-        p: ProcId,
-    ) -> Result<Receiver<Result<Response, ServiceError>>, ServiceError> {
-        self.broker_op(session, BrokerCmd::GiveUpAck { p })
-    }
-
-    /// Client-forced durability barrier on `session`'s shard: fsyncs the
-    /// shard's WAL (releasing any withheld replies) and answers
-    /// [`Response::Synced`] with the durable frontier, blocking for it.
-    /// The session id is a routing key only — it need not be open. On a
-    /// memory-only service the barrier is trivially satisfied and the
-    /// frontier is 0.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Busy`] / [`ServiceError::Shutdown`] as for any
-    /// submission.
-    pub fn sync(&self, session: SessionId) -> Result<Response, ServiceError> {
-        let rx = self.sync_async(session)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits a durability barrier without waiting.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::sync`].
-    pub fn sync_async(
-        &self,
-        session: SessionId,
-    ) -> Result<Receiver<Result<Response, ServiceError>>, ServiceError> {
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(self.shard_of(session), Job::Sync { reply })?;
-        Ok(rx)
-    }
-
-    /// One replication poll against `shard`: answers
-    /// [`Response::WalSegment`] with a bounded run of WAL records from
-    /// `from_seq` (empty = caught up, the heartbeat), folding `acked_seq`
-    /// — the highest seq the caller has durable — into the primary's
-    /// `repl_ack` release floor. Blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] for an out-of-range shard,
-    /// [`ServiceError::SubscribeGap`] when `from_seq` fell behind the
-    /// replication buffer (re-seed from a snapshot).
-    pub fn subscribe(
-        &self,
-        shard: u16,
-        from_seq: u64,
-        acked_seq: u64,
-    ) -> Result<Response, ServiceError> {
-        let rx = self.subscribe_async(shard, from_seq, acked_seq)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits a replication poll without waiting.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::subscribe`].
-    pub fn subscribe_async(
-        &self,
-        shard: u16,
-        from_seq: u64,
-        acked_seq: u64,
-    ) -> Result<Receiver<Result<Response, ServiceError>>, ServiceError> {
-        if shard as usize >= self.shared.config.shards {
-            return Err(ServiceError::UnknownSession);
-        }
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(
-            shard as usize,
-            Job::Subscribe {
-                from_seq,
-                acked_seq,
-                reply,
-            },
-        )?;
-        Ok(rx)
-    }
-
-    /// `shard`'s replication posture (role, epoch, frontiers), blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] for an out-of-range shard.
-    pub fn replica_status(&self, shard: u16) -> Result<Response, ServiceError> {
-        let rx = self.replica_status_async(shard)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits a replication-posture read without waiting.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::replica_status`].
-    pub fn replica_status_async(
-        &self,
-        shard: u16,
-    ) -> Result<Receiver<Result<Response, ServiceError>>, ServiceError> {
-        if shard as usize >= self.shared.config.shards {
-            return Err(ServiceError::UnknownSession);
-        }
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(shard as usize, Job::ReplicaStatus { reply })?;
-        Ok(rx)
-    }
-
-    /// Promotes `shard` to primary under `epoch` (which must strictly
-    /// advance its current epoch), blocking for the resulting
-    /// [`Response::ReplicaStatus`]. See [`ServiceConfig::replica`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] for an out-of-range shard,
-    /// [`ServiceError::EpochFenced`] when `epoch` does not advance.
-    pub fn promote(&self, shard: u16, epoch: u64) -> Result<Response, ServiceError> {
-        let rx = self.promote_async(shard, epoch)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits a promotion without waiting.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::promote`].
-    pub fn promote_async(
-        &self,
-        shard: u16,
-        epoch: u64,
-    ) -> Result<Receiver<Result<Response, ServiceError>>, ServiceError> {
-        if shard as usize >= self.shared.config.shards {
-            return Err(ServiceError::UnknownSession);
-        }
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(shard as usize, Job::Promote { epoch, reply })?;
-        Ok(rx)
-    }
-
-    /// Feeds a primary's WAL records (as pulled by [`Client::subscribe`]
-    /// against it) into replica `shard`, blocking for the resulting
-    /// [`Response::ReplicaStatus`] — whose `durable_seq` is what the
-    /// tailer acks back to the primary. Records are mirrored
-    /// byte-for-byte into the local WAL and applied through the recovery
-    /// interpreter.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] for an out-of-range shard,
-    /// [`ServiceError::EpochFenced`] on a primary or for records below
-    /// the local epoch, [`ServiceError::SubscribeGap`] on a sequence
-    /// gap.
-    pub fn repl_apply(
-        &self,
-        shard: u16,
-        records: Vec<(u64, u64, Vec<u8>)>,
-    ) -> Result<Response, ServiceError> {
-        let rx = self.repl_apply_async(shard, records)?;
-        rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-
-    /// Submits a replica apply without waiting.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::repl_apply`].
-    pub fn repl_apply_async(
-        &self,
-        shard: u16,
-        records: Vec<(u64, u64, Vec<u8>)>,
-    ) -> Result<Receiver<Result<Response, ServiceError>>, ServiceError> {
-        if shard as usize >= self.shared.config.shards {
-            return Err(ServiceError::UnknownSession);
-        }
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(shard as usize, Job::ReplApply { records, reply })?;
-        Ok(rx)
-    }
-
-    /// Merged counters across all shards.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::stats`].
-    pub fn stats_merged(&self) -> Result<Stats, ServiceError> {
-        let mut merged = Stats::new();
-        for s in self.stats()? {
-            merged.merge(&s);
-        }
-        Ok(merged)
-    }
-}
-
-/// Per-worker counter state, folded into a [`Stats`] on demand.
+/// Per-shard counter state, folded into a [`Stats`] on demand.
 #[derive(Default)]
 struct WorkerCounters {
     events: u64,
@@ -1141,10 +181,9 @@ impl WorkerCounters {
 }
 
 /// Pipelined group-commit telemetry: flush batch sizes, withheld-reply
-/// depth and append→release commit latency. Lives in [`ShardCore`] so
-/// both front-ends (channel-fed worker pool and fused thread-per-core
-/// runtime) feed the same `store.pipeline_*` stats keys. All zeros
-/// outside `FsyncPolicy::Pipelined`.
+/// depth and append→release commit latency, reported under the
+/// `store.pipeline_*` stats keys. All zeros outside
+/// `FsyncPolicy::Pipelined`.
 #[derive(Default)]
 pub(crate) struct PipelineMeter {
     /// Non-empty flushes (fsyncs covering ≥ 1 new record).
@@ -1192,8 +231,7 @@ const SEGMENT_BYTE_BUDGET: usize = MAX_FRAME / 2;
 
 /// One shard's replication posture: role, fencing epoch, the
 /// follower-ack frontier and the bounded in-memory WAL suffix served to
-/// [`Job::Subscribe`] polls. Lives in [`ShardCore`] so every front-end
-/// shares one implementation.
+/// `Subscribe` polls.
 pub(crate) struct ReplState {
     /// `false` = replica: mutations answer `ReadOnlyReplica` and state
     /// advances only through [`ShardCore::repl_apply`].
@@ -1248,20 +286,17 @@ impl ReplState {
 /// with its slot (absent when the slot parked in the waiter table), plus
 /// any previously parked slots the command's grants just woke — each of
 /// those answers `Granted { cycles: 0, probes: 0 }`.
-pub(crate) struct BrokerOutcome<W> {
-    pub reply: Option<(W, Result<Response, ServiceError>)>,
-    pub woken: Vec<W>,
+pub(crate) struct BrokerOutcome {
+    pub reply: Option<(Ticket, Result<Response, ServiceError>)>,
+    pub woken: Vec<Ticket>,
 }
 
-/// One shard's deadlock unit, front-end agnostic: the session and broker
-/// tables, the parked-waiter table, write-ahead durability and the
-/// per-shard counters — everything `session_id % shards` pins to one
-/// owner. The channel-fed worker pool drives it from [`run_worker`] with
-/// `W = Sender<..>`; the fused thread-per-core runtime
-/// ([`crate::core_runtime`]) runs it inline on the owning loop with a
-/// connection-ticket slot type. Reply delivery is the *caller's* job —
-/// the core only decides, parks and wakes.
-pub(crate) struct ShardCore<W> {
+/// One shard's deadlock unit: the session and broker tables, the
+/// parked-waiter table, write-ahead durability and the per-shard
+/// counters — everything `session_id % shards` pins to one owner. The
+/// owning [`crate::core_runtime`] loop runs it inline; reply delivery is
+/// the *caller's* job — the core only decides, parks and wakes.
+pub(crate) struct ShardCore {
     shard_id: usize,
     max_sessions: usize,
     max_dim: u16,
@@ -1272,7 +307,7 @@ pub(crate) struct ShardCore<W> {
     /// Blocked Acquire reply slots per broker session. Reconstructed
     /// waiting state after recovery lives in the avoiders; slots reappear
     /// as reconnecting clients re-issue (re-attach) their acquires.
-    waiters: HashMap<u64, Vec<Waiter<W>>>,
+    waiters: HashMap<u64, Vec<Waiter>>,
     counters: WorkerCounters,
     next_session: u64,
     persist: Option<durable::ShardPersist>,
@@ -1287,7 +322,7 @@ pub(crate) struct ShardCore<W> {
     repl: ReplState,
 }
 
-impl<W> ShardCore<W> {
+impl ShardCore {
     /// Builds the shard's state, recovering checkpoint + WAL first when
     /// durability is configured (fail-stop on storage errors). With
     /// `replica` set the shard starts read-only, serving probes and
@@ -1300,7 +335,7 @@ impl<W> ShardCore<W> {
         pool: Option<Arc<WorkerPool>>,
         durability: Option<&DurabilityConfig>,
         replica: bool,
-    ) -> ShardCore<W> {
+    ) -> ShardCore {
         match durability {
             None => ShardCore {
                 shard_id,
@@ -1564,7 +599,7 @@ impl<W> ShardCore<W> {
     /// session — they can never be granted now, so the caller must fail
     /// them with [`ServiceError::UnknownSession`] instead of leaking
     /// silent hangs.
-    pub(crate) fn close(&mut self, session: SessionId) -> (Result<(), ServiceError>, Vec<W>) {
+    pub(crate) fn close(&mut self, session: SessionId) -> (Result<(), ServiceError>, Vec<Ticket>) {
         if !self.repl.primary {
             return (Err(ServiceError::ReadOnlyReplica), Vec::new());
         }
@@ -1703,8 +738,8 @@ impl<W> ShardCore<W> {
         &mut self,
         session: SessionId,
         cmd: BrokerCmd,
-        slot: W,
-    ) -> BrokerOutcome<W> {
+        slot: Ticket,
+    ) -> BrokerOutcome {
         let mut out = BrokerOutcome {
             reply: None,
             woken: Vec::new(),
@@ -1836,10 +871,10 @@ impl<W> ShardCore<W> {
     /// instead of blocking) are simply broker state — the next re-attach
     /// answers `Granted`.
     fn wake_waiters(
-        waiters: &mut HashMap<u64, Vec<Waiter<W>>>,
+        waiters: &mut HashMap<u64, Vec<Waiter>>,
         session: u64,
         grants: &[(ProcId, ResId)],
-        woken: &mut Vec<W>,
+        woken: &mut Vec<Ticket>,
     ) {
         if grants.is_empty() {
             return;
@@ -2028,11 +1063,8 @@ impl<W> ShardCore<W> {
         Ok(Response::ReplicaStatus(self.replica_status()))
     }
 
-    /// This shard's counters as a [`Stats`] row. `queue_depth_max` is
-    /// the front-end's in-flight high-water mark (the bounded queue's
-    /// for the worker pool; 0 for the fused runtime, which has no
-    /// request queue at all).
-    pub(crate) fn report(&self, queue_depth_max: u64) -> Stats {
+    /// This shard's counters as a [`Stats`] row.
+    pub(crate) fn report(&self) -> Stats {
         let counters = &self.counters;
         let mut cache_hits = counters.retired_cache_hits;
         let mut reductions = counters.retired_reductions;
@@ -2107,7 +1139,6 @@ impl<W> ShardCore<W> {
         s.add("service.broker_give_ups", broker_give_ups);
         s.add("service.broker_livelocks", broker_livelocks);
         s.add("service.broker_waiters", broker_waiters);
-        s.add("service.queue_depth_max", queue_depth_max);
         // Replication gauges, emitted unconditionally: a standalone
         // primary legitimately reports epoch 0 and zero lag.
         s.add("store.epoch", self.repl.epoch);
@@ -2148,7 +1179,8 @@ impl<W> ShardCore<W> {
 
     /// Compaction: checkpoint + WAL truncation once enough records
     /// accumulated since the last one (`force` skips the threshold).
-    pub(crate) fn maybe_checkpoint(&mut self, force: bool) {
+    /// Returns whether a checkpoint was written.
+    pub(crate) fn maybe_checkpoint(&mut self, force: bool) -> bool {
         let ShardCore {
             shard_id,
             sessions,
@@ -2158,7 +1190,7 @@ impl<W> ShardCore<W> {
             persist,
             ..
         } = self;
-        if let Some(p) = persist.as_mut() {
+        persist.as_mut().is_some_and(|p| {
             p.maybe_checkpoint(
                 *shard_id,
                 counters.to_store(),
@@ -2166,8 +1198,8 @@ impl<W> ShardCore<W> {
                 sessions,
                 brokers,
                 force,
-            );
-        }
+            )
+        })
     }
 
     /// Shutdown durability: final checkpoint, or at least a WAL sync —
@@ -2191,355 +1223,10 @@ impl<W> ShardCore<W> {
     }
 }
 
-/// The reply slot type of the channel-fed worker pool.
-type ReplyTx<T> = Sender<Result<T, ServiceError>>;
-
-/// The worker-pool scheduler's withheld replies, in submission order:
-/// `(lsn, appended-at, boxed send)`. Heterogeneous reply channel types
-/// hide behind the boxed closure; it runs on the owning worker thread.
-type WithheldQueue = VecDeque<(u64, Instant, Box<dyn FnOnce()>)>;
-
-/// Releases every withheld reply the durable frontier now covers, in
-/// submission order.
-fn release_durable(core: &mut ShardCore<ReplyTx<Response>>, withheld: &mut WithheldQueue) {
-    let durable = core.release_floor();
-    let now = Instant::now();
-    while withheld.front().is_some_and(|(lsn, _, _)| *lsn <= durable) {
-        let (_, since, send) = withheld.pop_front().expect("checked front");
-        core.pipeline.on_release(now.duration_since(since));
-        send();
-    }
-}
-
-/// Fsync barrier + release: the group-commit flush. Everything appended
-/// becomes durable, so the whole queue drains.
-fn flush_withheld(core: &mut ShardCore<ReplyTx<Response>>, withheld: &mut WithheldQueue) {
-    let before = core.durable_lsn();
-    let durable = core.sync_barrier();
-    core.pipeline.on_flush(durable.saturating_sub(before));
-    release_durable(core, withheld);
-}
-
-/// Parks one reply until its LSN is durable.
-fn park(
-    core: &mut ShardCore<ReplyTx<Response>>,
-    withheld: &mut WithheldQueue,
-    lsn: u64,
-    send: Box<dyn FnOnce()>,
-) {
-    withheld.push_back((lsn, Instant::now(), send));
-    core.pipeline.on_withheld(withheld.len() as u64);
-}
-
-fn run_worker(
-    shard_id: usize,
-    rx: Receiver<Job>,
-    meter: Arc<ShardMeter>,
-    config: ServiceConfig,
-    ready: Option<Sender<RecoveryInfo>>,
-) -> Stats {
-    // Round-robin affinity hint: shard k and its pool workers occupy the
-    // contiguous CPU stripe starting at k * par.threads (mod host CPUs).
-    let first_cpu = shard_id * config.par.threads.max(1);
-    if config.pin_cpus {
-        deltaos_core::par::pin_current_thread(first_cpu);
-    }
-    // One reduction pool per shard worker, shared by every session housed
-    // here — opening a thousand sessions must not spawn a thousand pools.
-    let pool: Option<Arc<WorkerPool>> = (config.par.threads > 1).then(|| {
-        Arc::new(if config.pin_cpus {
-            WorkerPool::new_pinned(config.par.threads, first_cpu)
-        } else {
-            WorkerPool::new(config.par.threads)
-        })
-    });
-    // Durability: recover before serving, then tell Service::start.
-    let mut core: ShardCore<ReplyTx<Response>> = ShardCore::new(
-        shard_id,
-        config.max_sessions_per_shard,
-        config.max_dim,
-        config.par,
-        pool,
-        config.durability.as_ref(),
-        config.replica,
-    );
-    if let (Some(ready), Some(info)) = (&ready, core.recovery_info()) {
-        let _ = ready.send(info);
-    }
-    // `recv` until the drain marker (or every sender dropped): accepted
-    // work is always fully processed before the worker exits. Under the
-    // pipelined policy this loop doubles as the commit scheduler:
-    // replies to logged ops park in `withheld` and the WAL is fsynced
-    // when the unsynced batch hits `max_records`, the oldest withheld
-    // reply ages past `deadline`, or the queue goes idle with a batch
-    // outstanding — one fsync then releases every parked reply.
-    let pipeline = core.pipeline_params();
-    let mut withheld: WithheldQueue = VecDeque::new();
-    loop {
-        let job = if withheld.is_empty() {
-            match rx.recv() {
-                Ok(job) => job,
-                Err(_) => break,
-            }
-        } else {
-            match rx.try_recv() {
-                Ok(job) => job,
-                // Idle with a non-empty batch: no more work is coming
-                // to fill it, so sync now instead of sitting on replies
-                // until the deadline.
-                Err(mpsc::TryRecvError::Empty) => {
-                    flush_withheld(&mut core, &mut withheld);
-                    if withheld.is_empty() {
-                        continue;
-                    }
-                    // Still parked after the flush: replies gated on a
-                    // follower ack only a future `Subscribe` poll can
-                    // advance. Block briefly for that job instead of
-                    // spinning the CPU on try_recv.
-                    match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok(job) => job,
-                        Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                Err(mpsc::TryRecvError::Disconnected) => break,
-            }
-        };
-        match job {
-            Job::Open {
-                session,
-                resources,
-                processes,
-                reply,
-            } => {
-                let result = core.open(session, resources, processes);
-                match core.take_withhold_lsn() {
-                    Some(lsn) => park(
-                        &mut core,
-                        &mut withheld,
-                        lsn,
-                        Box::new(move || {
-                            let _ = reply.send(result);
-                        }),
-                    ),
-                    None => {
-                        let _ = reply.send(result);
-                    }
-                }
-            }
-            Job::OpenAvoid {
-                session,
-                resources,
-                processes,
-                mode,
-                reply,
-            } => {
-                let result = core.open_avoid(session, resources, processes, mode);
-                match core.take_withhold_lsn() {
-                    Some(lsn) => park(
-                        &mut core,
-                        &mut withheld,
-                        lsn,
-                        Box::new(move || {
-                            let _ = reply.send(result);
-                        }),
-                    ),
-                    None => {
-                        let _ = reply.send(result);
-                    }
-                }
-            }
-            Job::Broker { session, op, reply } => {
-                let out = core.broker(session, op, reply);
-                // The command's reply and the waiters it woke all ride
-                // the command's LSN (re-attaches didn't log: deliver).
-                let lsn = core.take_withhold_lsn();
-                if let Some((slot, result)) = out.reply {
-                    match lsn {
-                        Some(lsn) => park(
-                            &mut core,
-                            &mut withheld,
-                            lsn,
-                            Box::new(move || {
-                                let _ = slot.send(result);
-                            }),
-                        ),
-                        None => {
-                            let _ = slot.send(result);
-                        }
-                    }
-                }
-                for slot in out.woken {
-                    let granted = Ok(Response::Granted {
-                        cycles: 0,
-                        probes: 0,
-                    });
-                    match lsn {
-                        Some(lsn) => park(
-                            &mut core,
-                            &mut withheld,
-                            lsn,
-                            Box::new(move || {
-                                let _ = slot.send(granted);
-                            }),
-                        ),
-                        None => {
-                            let _ = slot.send(granted);
-                        }
-                    }
-                }
-            }
-            Job::Batch {
-                session,
-                events,
-                reply,
-            } => {
-                let result = core.batch(session, &events);
-                match core.take_withhold_lsn() {
-                    Some(lsn) => park(
-                        &mut core,
-                        &mut withheld,
-                        lsn,
-                        Box::new(move || {
-                            let _ = reply.send(result);
-                        }),
-                    ),
-                    None => {
-                        let _ = reply.send(result);
-                    }
-                }
-            }
-            Job::Close { session, reply } => {
-                let (result, dead) = core.close(session);
-                let lsn = core.take_withhold_lsn();
-                // Blocked acquires on this session can never be granted
-                // now; fail their slots instead of leaking silent hangs.
-                // The errors ride the close's LSN like any other reply
-                // the op produced.
-                for slot in dead {
-                    match lsn {
-                        Some(lsn) => park(
-                            &mut core,
-                            &mut withheld,
-                            lsn,
-                            Box::new(move || {
-                                let _ = slot.send(Err(ServiceError::UnknownSession));
-                            }),
-                        ),
-                        None => {
-                            let _ = slot.send(Err(ServiceError::UnknownSession));
-                        }
-                    }
-                }
-                match lsn {
-                    Some(lsn) => park(
-                        &mut core,
-                        &mut withheld,
-                        lsn,
-                        Box::new(move || {
-                            let _ = reply.send(result);
-                        }),
-                    ),
-                    None => {
-                        let _ = reply.send(result);
-                    }
-                }
-            }
-            Job::Stats { reply } => {
-                let _ = reply.send(core.report(meter.max()));
-            }
-            Job::Snapshot { session, reply } => {
-                let _ = reply.send(core.snapshot_blob(session));
-            }
-            Job::Restore {
-                session,
-                snapshot,
-                reply,
-            } => {
-                let result = core.restore(session, &snapshot);
-                match core.take_withhold_lsn() {
-                    Some(lsn) => park(
-                        &mut core,
-                        &mut withheld,
-                        lsn,
-                        Box::new(move || {
-                            let _ = reply.send(result);
-                        }),
-                    ),
-                    None => {
-                        let _ = reply.send(result);
-                    }
-                }
-            }
-            Job::Sync { reply } => {
-                // Client-forced barrier: flush (releasing every withheld
-                // reply) and answer with the durable frontier.
-                flush_withheld(&mut core, &mut withheld);
-                let _ = reply.send(Ok(Response::Synced {
-                    durable_lsn: core.durable_lsn(),
-                }));
-            }
-            Job::Subscribe {
-                from_seq,
-                acked_seq,
-                reply,
-            } => {
-                // The follower polls for durable records only; make the
-                // frontier current before serving so a fresh append under
-                // a lazy policy does not stall replication a full
-                // deadline.
-                if !withheld.is_empty() || core.unsynced_records() > 0 {
-                    flush_withheld(&mut core, &mut withheld);
-                }
-                let _ = reply.send(core.subscribe(from_seq, acked_seq));
-            }
-            Job::ReplicaStatus { reply } => {
-                let _ = reply.send(Ok(Response::ReplicaStatus(core.replica_status())));
-            }
-            Job::Promote { epoch, reply } => {
-                let _ = reply.send(core.promote(epoch));
-            }
-            Job::ReplApply { records, reply } => {
-                let _ = reply.send(core.repl_apply(&records));
-            }
-            Job::Shutdown => {
-                meter.finished();
-                break;
-            }
-        }
-        core.maybe_checkpoint(false);
-        // A checkpoint's WAL sync advances the frontier on its own.
-        release_durable(&mut core, &mut withheld);
-        if let Some((max_records, deadline)) = pipeline {
-            let full = core.unsynced_records() >= max_records.max(1) as u64;
-            let stale = withheld
-                .front()
-                .is_some_and(|(_, since, _)| since.elapsed() >= deadline);
-            if full || stale {
-                flush_withheld(&mut core, &mut withheld);
-            }
-        }
-        meter.finished();
-    }
-    // Drain the pipeline before the final checkpoint/sync: a clean stop
-    // never drops an accepted op's reply.
-    flush_withheld(&mut core, &mut withheld);
-    // Under follower-ack gating, replies can still be parked on an ack
-    // that will never arrive (the service is stopping). Everything here
-    // is locally durable — the most a stopping process can promise — so
-    // release rather than hang the callers on a dead service.
-    let now = Instant::now();
-    while let Some((_, since, send)) = withheld.pop_front() {
-        core.pipeline.on_release(now.duration_since(since));
-        send();
-    }
-    core.finish();
-    core.report(meter.max())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core_runtime::{CoreConfig, CoreRuntime};
     use deltaos_core::{ProcId, ResId};
 
     fn p(i: u16) -> ProcId {
@@ -2549,48 +1236,23 @@ mod tests {
         ResId(i)
     }
 
-    fn small() -> ServiceConfig {
-        ServiceConfig {
-            shards: 2,
-            queue_cap: 8,
-            max_sessions_per_shard: 4,
-            max_batch: 16,
-            max_dim: 64,
-            par: ParConfig::default(),
-            pin_cpus: false,
-            durability: None,
-            replica: false,
-        }
-    }
-
-    #[test]
-    fn auto_sized_respects_the_host() {
-        let cfg = ServiceConfig::auto_sized();
-        assert!((1..=8).contains(&cfg.shards));
-        let total = cfg.shards * cfg.par.threads;
-        assert!(
-            cfg.par.threads == 1 || total <= deltaos_core::par::host_cpus(),
-            "{} shards x {} pool threads oversubscribes",
-            cfg.shards,
-            cfg.par.threads
-        );
-        // A pinned service behaves like an unpinned one.
-        let service = Service::start(ServiceConfig {
-            pin_cpus: true,
-            ..small()
-        });
-        let client = service.client();
-        let sid = client.open(2, 2).unwrap();
-        assert!(matches!(
-            client.batch(sid, vec![Event::Probe]).unwrap()[0],
-            EventResult::Outcome(_)
-        ));
-        service.shutdown();
+    fn small() -> CoreRuntime {
+        CoreRuntime::bind(
+            "127.0.0.1:0",
+            CoreConfig {
+                shards: 2,
+                max_sessions_per_shard: 4,
+                max_batch: 16,
+                max_dim: 64,
+                ..CoreConfig::default()
+            },
+        )
+        .expect("bind runtime")
     }
 
     #[test]
     fn open_batch_probe_close_roundtrip() {
-        let service = Service::start(small());
+        let service = small();
         let client = service.client();
         let sid = client.open(2, 2).unwrap();
         let results = client
@@ -2615,7 +1277,7 @@ mod tests {
             client.batch(sid, vec![Event::Probe]),
             Err(ServiceError::UnknownSession)
         );
-        let stats = service.shutdown();
+        let stats = service.stop();
         let merged = {
             let mut m = Stats::new();
             for s in &stats {
@@ -2632,7 +1294,7 @@ mod tests {
 
     #[test]
     fn sessions_spread_across_shards_and_ids_are_unique() {
-        let service = Service::start(small());
+        let service = small();
         let client = service.client();
         let ids: Vec<SessionId> = (0..8).map(|_| client.open(4, 4).unwrap()).collect();
         let mut unique = ids.clone();
@@ -2644,12 +1306,12 @@ mod tests {
         for s in &per_shard {
             assert_eq!(s.counter("service.sessions_open"), 4);
         }
-        service.shutdown();
+        service.stop();
     }
 
     #[test]
     fn admission_control_rejects_bad_opens_and_big_batches() {
-        let service = Service::start(small());
+        let service = small();
         let client = service.client();
         assert_eq!(client.open(0, 4), Err(ServiceError::BadDimensions));
         assert_eq!(client.open(4, 65), Err(ServiceError::BadDimensions));
@@ -2672,12 +1334,12 @@ mod tests {
             client.batch(sid, vec![Event::Probe; 17]),
             Err(ServiceError::BatchTooLarge)
         );
-        service.shutdown();
+        service.stop();
     }
 
     #[test]
     fn snapshot_restore_clones_a_live_session() {
-        let service = Service::start(small());
+        let service = small();
         let client = service.client();
         let sid = client.open(4, 4).unwrap();
         let results = client
@@ -2714,15 +1376,15 @@ mod tests {
             client.snapshot(SessionId(9999)),
             Err(ServiceError::UnknownSession)
         );
-        service.shutdown();
+        service.stop();
     }
 
     #[test]
     fn submissions_after_shutdown_fail_typed() {
-        let service = Service::start(small());
+        let service = small();
         let client = service.client();
         let sid = client.open(2, 2).unwrap();
-        service.shutdown();
+        service.stop();
         assert_eq!(
             client.batch(sid, vec![Event::Probe]),
             Err(ServiceError::Shutdown)

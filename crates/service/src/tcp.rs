@@ -1,260 +1,23 @@
-//! Blocking TCP transport: a thread-per-connection server wrapping an
-//! in-process [`Client`], and a matching blocking [`TcpClient`].
-//!
-//! Each connection is a strict request/response loop over the
-//! length-prefixed frames of [`crate::proto`]. Malformed frames answer
-//! with [`Response::Error`] where the stream is still framed (bad tag,
-//! trailing bytes) and drop the connection where it is not (truncated or
-//! oversized frames — the reader can no longer find the next boundary).
+//! Blocking TCP client for the service wire protocol: strict
+//! request/response over the length-prefixed frames of
+//! [`crate::proto`], or pipelined with [`TcpClient::send`] /
+//! [`TcpClient::recv`]. Portable — it needs only `std::net`.
 
 use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use deltaos_sim::Stats;
+use std::net::{SocketAddr, TcpStream};
 
 use crate::proto::{
-    decode_request, decode_response, encode_request_into, encode_response_into, read_frame_into,
-    write_frame, ErrorCode, Request, Response, ShardStats, WireError,
+    decode_response, encode_request_into, read_frame_into, write_frame, Request, Response,
+    WireError,
 };
-use crate::shard::{Client, ServiceError};
-
-/// A running TCP front-end for a service [`Client`].
-pub struct TcpServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl TcpServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// accepting connections, each served on its own thread through
-    /// `client`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn bind(addr: &str, client: Client) -> io::Result<TcpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("deltaos-tcp-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if accept_stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    let conn_client = client.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("deltaos-tcp-conn".into())
-                        .spawn(move || {
-                            let _ = serve_conn(stream, &conn_client);
-                        });
-                }
-            })?;
-        Ok(TcpServer {
-            addr: local,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The bound address (with the resolved port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting new connections and joins the accept thread.
-    /// Connections already being served run until their peer disconnects.
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // The accept loop blocks in `incoming()`; poke it with a
-        // throwaway connection so it observes the stop flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.halt();
-        }
-    }
-}
-
-/// Maps per-shard [`Stats`] snapshots to the wire's [`ShardStats`] rows.
-/// Shared by the blocking server and the event-loop front-end.
-pub(crate) fn stats_rows(per_shard: &[Stats]) -> Vec<ShardStats> {
-    per_shard
-        .iter()
-        .map(|s| ShardStats {
-            shard: s.counter("service.shard_id") as u16,
-            events: s.counter("service.events"),
-            probes: s.counter("service.probes"),
-            cache_hits: s.counter("service.cache_hits"),
-            max_queue_depth: s.counter("service.queue_depth_max"),
-            dense_reductions: s.counter("service.dense_reductions"),
-            sparse_reductions: s.counter("service.sparse_reductions"),
-            live_edges: s.counter("service.live_edges"),
-            density_permille: s.counter("service.density_permille"),
-            broker_grants: s.counter("service.broker_grants"),
-            broker_deferrals: s.counter("service.broker_deferrals"),
-            broker_give_ups: s.counter("service.broker_give_ups"),
-            broker_livelocks: s.counter("service.broker_livelocks"),
-            broker_waiters: s.counter("service.broker_waiters"),
-            pipeline_fsyncs: s.counter("store.fsyncs"),
-            pipeline_batches: s.counter("store.pipeline_batches"),
-            pipeline_batch_max: s.counter("store.pipeline_batch_max"),
-            pipeline_withheld_peak: s.counter("store.pipeline_withheld_peak"),
-            pipeline_commit_p50_us: s.counter("store.pipeline_commit_p50_us"),
-            pipeline_commit_p99_us: s.counter("store.pipeline_commit_p99_us"),
-            repl_lag_records: s.counter("store.repl_lag_records"),
-            follower_acked_seq: s.counter("store.follower_acked_seq"),
-            epoch: s.counter("store.epoch"),
-            promotions: s.counter("store.promotions"),
-        })
-        .collect()
-}
-
-fn service_response(client: &Client, req: Request) -> Response {
-    match req {
-        Request::Open {
-            resources,
-            processes,
-        } => match client.open(resources, processes) {
-            Ok(id) => Response::Opened(id),
-            Err(ServiceError::Busy) => Response::Busy,
-            Err(e) => Response::Error(e.into()),
-        },
-        Request::Batch { session, events } => match client.batch(session, events) {
-            Ok(results) => Response::Batch(results),
-            Err(ServiceError::Busy) => Response::Busy,
-            Err(e) => Response::Error(e.into()),
-        },
-        Request::Close { session } => match client.close(session) {
-            Ok(()) => Response::Closed,
-            Err(ServiceError::Busy) => Response::Busy,
-            Err(e) => Response::Error(e.into()),
-        },
-        Request::Stats => match client.stats() {
-            // The blocking server has no event-loop counters to report.
-            Ok(per_shard) => Response::Stats {
-                shards: stats_rows(&per_shard),
-                frontend: None,
-                cores: Vec::new(),
-            },
-            Err(ServiceError::Busy) => Response::Busy,
-            Err(e) => Response::Error(e.into()),
-        },
-        Request::Snapshot { session } => match client.snapshot(session) {
-            Ok(bytes) => Response::Snapshot(bytes),
-            Err(ServiceError::Busy) => Response::Busy,
-            Err(e) => Response::Error(e.into()),
-        },
-        Request::Restore { snapshot } => match client.restore(snapshot) {
-            Ok(id) => Response::Opened(id),
-            Err(ServiceError::Busy) => Response::Busy,
-            Err(e) => Response::Error(e.into()),
-        },
-        Request::OpenAvoid {
-            resources,
-            processes,
-            mode,
-        } => match client.open_avoid(resources, processes, mode) {
-            Ok(id) => Response::Opened(id),
-            Err(ServiceError::Busy) => Response::Busy,
-            Err(e) => Response::Error(e.into()),
-        },
-        // Broker commands answer with the avoider's decision directly;
-        // on this blocking server a `wait`ing Acquire parks the whole
-        // connection thread until the grant — which is exactly what a
-        // blocking client asked for.
-        Request::SetPriority {
-            session,
-            p,
-            priority,
-        } => broker_reply(client.set_priority(session, p, priority)),
-        Request::Acquire {
-            session,
-            p,
-            q,
-            wait,
-        } => broker_reply(client.acquire(session, p, q, wait)),
-        Request::BrokerRelease { session, p, q } => {
-            broker_reply(client.broker_release(session, p, q))
-        }
-        Request::GiveUpAck { session, p } => broker_reply(client.give_up_ack(session, p)),
-        // Durability barrier: the shard flushes its WAL and answers with
-        // the durable frontier; blocking here is the point.
-        Request::Sync { session } => broker_reply(client.sync(session)),
-        // Replication: a follower's pull poll, a posture read, and the
-        // failover promotion — shard-addressed, no session routing.
-        Request::Subscribe {
-            shard,
-            from_seq,
-            acked_seq,
-        } => broker_reply(client.subscribe(shard, from_seq, acked_seq)),
-        Request::ReplicaStatus { shard } => broker_reply(client.replica_status(shard)),
-        Request::Promote { shard, epoch } => broker_reply(client.promote(shard, epoch)),
-    }
-}
-
-fn broker_reply(result: Result<Response, ServiceError>) -> Response {
-    match result {
-        Ok(resp) => resp,
-        Err(ServiceError::Busy) => Response::Busy,
-        Err(e) => Response::Error(e.into()),
-    }
-}
-
-/// Serves one connection until the peer closes or the stream breaks.
-/// The frame payload and response encoding reuse two scratch buffers
-/// across the whole connection — zero steady-state allocation in the
-/// framing layer (the decoded `Request` still owns its events).
-fn serve_conn(stream: TcpStream, client: &Client) -> Result<(), WireError> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut payload = Vec::new();
-    let mut out = Vec::new();
-    loop {
-        match read_frame_into(&mut reader, &mut payload) {
-            Ok(()) => {}
-            Err(WireError::Closed) => return Ok(()),
-            // Framing is lost: the next bytes cannot be trusted to be a
-            // length prefix, so drop the connection.
-            Err(e) => return Err(e),
-        }
-        let response = match decode_request(&payload) {
-            Ok(req) => service_response(client, req),
-            // Frame boundaries are intact; answer in-band and keep going.
-            Err(_) => Response::Error(ErrorCode::BadRequest),
-        };
-        out.clear();
-        encode_response_into(&response, &mut out);
-        write_frame(&mut writer, &out)?;
-    }
-}
 
 /// Blocking TCP client speaking the service wire protocol.
 ///
 /// [`TcpClient::call`] is the strict request/response path;
 /// [`TcpClient::send`] / [`TcpClient::recv`] split it so a caller can
 /// **pipeline** — write several requests before reading the replies,
-/// which arrive in submission order. Both the event-loop and the
-/// thread-per-connection servers preserve that order, so the k-th
-/// response always answers the k-th request.
+/// which arrive in submission order: the k-th response always answers
+/// the k-th request.
 #[derive(Debug)]
 pub struct TcpClient {
     reader: BufReader<TcpStream>,

@@ -3,13 +3,15 @@
 //! applied to a private, single-threaded [`Session`].
 //!
 //! This is the service's core contract — sharding pins a session to one
-//! worker, so cross-session concurrency can never perturb per-session
+//! core loop, so cross-session concurrency can never perturb per-session
 //! results (verdicts, iteration counts, rejection reasons, ordering).
+
+#![cfg(unix)]
 
 use std::thread;
 
 use deltaos_core::{ProcId, ResId};
-use deltaos_service::{Event, EventResult, Service, ServiceConfig, ServiceError, Session};
+use deltaos_service::{CoreConfig, CoreRuntime, Event, EventResult, Session};
 use rand::{Rng, SeedableRng, StdRng};
 
 /// Deterministic per-session event log: a mix of edits, probes and
@@ -44,11 +46,15 @@ fn concurrent_sessions_match_single_threaded_replay() {
     const BATCH: usize = 16;
     const DIMS: (u16, u16) = (24, 24);
 
-    let service = Service::start(ServiceConfig {
-        shards: 4,
-        queue_cap: 8,
-        ..ServiceConfig::default()
-    });
+    let service = CoreRuntime::bind(
+        "127.0.0.1:0",
+        CoreConfig {
+            loops: 4,
+            shards: 4,
+            ..CoreConfig::default()
+        },
+    )
+    .expect("bind runtime");
 
     // One client thread per session, all hammering the 4 shards at once.
     let mut handles = Vec::new();
@@ -56,26 +62,15 @@ fn concurrent_sessions_match_single_threaded_replay() {
         let client = service.client();
         handles.push(thread::spawn(move || {
             let log = event_log(0xA11CE ^ i as u64, DIMS.0, DIMS.1, LOG_LEN);
-            let sid = loop {
-                match client.open(DIMS.0, DIMS.1) {
-                    Ok(sid) => break sid,
-                    Err(ServiceError::Busy) => thread::yield_now(),
-                    Err(e) => panic!("open failed: {e}"),
-                }
+            let sid = match client.open(DIMS.0, DIMS.1) {
+                Ok(sid) => sid,
+                Err(e) => panic!("open failed: {e}"),
             };
             let mut results = Vec::with_capacity(LOG_LEN);
             for chunk in log.chunks(BATCH) {
-                // Busy is a retry signal, not a failure: nothing from
-                // the refused batch was applied.
-                loop {
-                    match client.batch(sid, chunk.to_vec()) {
-                        Ok(mut r) => {
-                            results.append(&mut r);
-                            break;
-                        }
-                        Err(ServiceError::Busy) => thread::yield_now(),
-                        Err(e) => panic!("batch failed: {e}"),
-                    }
+                match client.batch(sid, chunk.to_vec()) {
+                    Ok(mut r) => results.append(&mut r),
+                    Err(e) => panic!("batch failed: {e}"),
                 }
             }
             (log, results)
@@ -100,18 +95,21 @@ fn concurrent_sessions_match_single_threaded_replay() {
         merged.counter("service.cache_hits") > 0,
         "repeated probes across batches should hit the engine caches"
     );
-    service.shutdown();
+    service.stop();
 }
 
 #[test]
 fn sessions_on_the_same_shard_do_not_interfere() {
-    // Single shard: every session shares one worker, the tightest
+    // Single shard: every session shares one loop, the tightest
     // interleaving possible.
-    let service = Service::start(ServiceConfig {
-        shards: 1,
-        queue_cap: 16,
-        ..ServiceConfig::default()
-    });
+    let service = CoreRuntime::bind(
+        "127.0.0.1:0",
+        CoreConfig {
+            shards: 1,
+            ..CoreConfig::default()
+        },
+    )
+    .expect("bind runtime");
 
     let mut handles = Vec::new();
     for i in 0..8usize {
@@ -121,15 +119,9 @@ fn sessions_on_the_same_shard_do_not_interfere() {
             let sid = client.open(8, 8).unwrap();
             let mut results = Vec::new();
             for chunk in log.chunks(5) {
-                loop {
-                    match client.batch(sid, chunk.to_vec()) {
-                        Ok(mut r) => {
-                            results.append(&mut r);
-                            break;
-                        }
-                        Err(ServiceError::Busy) => thread::yield_now(),
-                        Err(e) => panic!("batch failed: {e}"),
-                    }
+                match client.batch(sid, chunk.to_vec()) {
+                    Ok(mut r) => results.append(&mut r),
+                    Err(e) => panic!("batch failed: {e}"),
                 }
             }
             (log, results)
@@ -144,5 +136,5 @@ fn sessions_on_the_same_shard_do_not_interfere() {
             "session {i} diverged on the shared shard"
         );
     }
-    service.shutdown();
+    service.stop();
 }

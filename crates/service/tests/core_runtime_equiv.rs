@@ -10,24 +10,28 @@
 //!    loop.
 //! 2. A blocked `wait: true` acquire parked by one connection must be
 //!    granted by another connection's release — the blocked-grant push
-//!    crossing loops as a message instead of a channel send.
+//!    crossing loops as a message instead of a channel send. In-process
+//!    [`deltaos_service::Client`] calls park in and grant from the same
+//!    waiter table, also under a pipelined WAL whose withheld replies
+//!    carry the grants.
 //! 3. A durable runtime stopped and reopened on the same store must
 //!    recover every session bit-identically (continuing a replayed
 //!    event log produces the in-process results) and never reissue a
-//!    live session id.
+//!    live session id; a shard that cannot recover fails the bind.
 
 #![cfg(unix)]
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use deltaos_core::avoid::ReleaseOutcome;
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{
-    AvoidanceMode, CoreConfig, CoreRuntime, DurabilityConfig, Event, EventResult, FsyncPolicy,
-    Request, Response, Session, SessionId, TcpClient,
+    AvoidanceMode, CoreConfig, CoreRuntime, DurabilityConfig, ErrorCode, Event, EventResult,
+    FsyncPolicy, Request, Response, ServiceError, Session, SessionId, TcpClient,
 };
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -241,14 +245,57 @@ fn fused_runtime_matches_in_process_replay() {
     }
 }
 
+/// Polls the wire `Stats` op until some broker session has a waiter.
+fn wait_for_waiter(cli: &mut TcpClient, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let waiters = match cli.call(&Request::Stats).unwrap() {
+            Response::Stats { shards, .. } => shards.iter().map(|s| s.broker_waiters).sum::<u64>(),
+            other => panic!("unexpected {other:?}"),
+        };
+        if waiters >= 1 {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{what}: waiter never queued");
+        thread::sleep(Duration::from_millis(2));
+    }
+}
+
+const GRANTED: Response = Response::Granted {
+    cycles: 0,
+    probes: 0,
+};
+
 #[test]
 fn blocked_grant_pushes_across_connections_and_loops() {
-    for loops in thread_counts() {
+    // Every loop count memory-only, then the widest once more under a
+    // pipelined WAL, so every grant below rides a withheld LSN.
+    let widest = thread_counts().into_iter().max().unwrap();
+    let wal_dir = tmp("grants-pipelined");
+    let runs = thread_counts()
+        .into_iter()
+        .map(|loops| (loops, None))
+        .chain(std::iter::once((
+            widest,
+            Some(DurabilityConfig {
+                dir: wal_dir.clone(),
+                fsync: FsyncPolicy::Pipelined {
+                    max_records: 64,
+                    deadline: Duration::from_millis(2),
+                },
+                checkpoint_every_records: u64::MAX,
+                checkpoint_on_shutdown: false,
+                repl_ack: false,
+            }),
+        )));
+    for (loops, durability) in runs {
+        let what = format!("loops={loops} durable={}", durability.is_some());
         let runtime = CoreRuntime::bind(
             "127.0.0.1:0",
             CoreConfig {
                 loops,
                 shards: 2,
+                durability,
                 ..CoreConfig::default()
             },
         )
@@ -346,10 +393,89 @@ fn blocked_grant_pushes_across_connections_and_loops() {
             );
         }
 
+        // The in-process handle parks in the same waiter table. Its
+        // session takes the next id, hence the other shard: with more
+        // than one loop, A's release below is forwarded to that shard's
+        // loop and the grant crosses back to the blocked caller.
+        let client = runtime.client();
+        let sid2 = client
+            .open_avoid(2, 2, AvoidanceMode::FastPath)
+            .expect("in-process open");
+        assert_eq!(
+            client.acquire(sid2, ProcId(0), ResId(0), false),
+            Ok(GRANTED),
+            "{what}"
+        );
+        let parked = thread::spawn({
+            let client = client.clone();
+            move || client.acquire(sid2, ProcId(1), ResId(0), true)
+        });
+        wait_for_waiter(&mut a, &what);
+        match a
+            .call(&Request::BrokerRelease {
+                session: sid2,
+                p: ProcId(0),
+                q: ResId(0),
+            })
+            .unwrap()
+        {
+            Response::Resolved {
+                outcome: ReleaseOutcome::GrantedTo { process, .. },
+                ..
+            } => assert_eq!(process, ProcId(1), "{what}"),
+            other => panic!("{what}: wire release must hand off, got {other:?}"),
+        }
+        assert_eq!(
+            parked.join().expect("parked caller"),
+            Ok(GRANTED),
+            "{what}: in-process waiter granted by a wire release"
+        );
+
+        // A parked wire acquire is granted by an in-process release.
+        b.send(&Request::Acquire {
+            session: sid2,
+            p: ProcId(0),
+            q: ResId(0),
+            wait: true,
+        })
+        .unwrap();
+        wait_for_waiter(&mut a, &what);
+        match client.broker_release(sid2, ProcId(1), ResId(0)) {
+            Ok(Response::Resolved {
+                outcome: ReleaseOutcome::GrantedTo { process, .. },
+                ..
+            }) => assert_eq!(process, ProcId(0), "{what}"),
+            other => panic!("{what}: in-process release must hand off, got {other:?}"),
+        }
+        assert_eq!(b.recv().unwrap(), GRANTED, "{what}: wire waiter granted");
+
+        // Closing the session through the handle fails a parked wire
+        // waiter instead of leaving it hanging.
+        b.send(&Request::Acquire {
+            session: sid2,
+            p: ProcId(1),
+            q: ResId(0),
+            wait: true,
+        })
+        .unwrap();
+        wait_for_waiter(&mut a, &what);
+        client.close(sid2).expect("in-process close");
+        assert_eq!(
+            b.recv().unwrap(),
+            Response::Error(ErrorCode::UnknownSession),
+            "{what}: waiter on a closed session"
+        );
+
         close(&mut a, sid);
         drop(b);
         runtime.stop();
+        assert_eq!(
+            client.acquire(sid, ProcId(0), ResId(0), true),
+            Err(ServiceError::Shutdown),
+            "{what}: calls after stop fail instead of hanging"
+        );
     }
+    let _ = fs::remove_dir_all(&wal_dir);
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -455,6 +581,47 @@ fn durable_runtime_recovers_bit_identical_across_restart() {
         close(&mut cli, fresh);
         drop(cli);
         runtime.stop();
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn bind_fails_when_a_shard_cannot_recover() {
+    for loops in [1usize, 2] {
+        let dir = tmp(&format!("bad-checkpoint-loops{loops}"));
+        let config = CoreConfig {
+            loops,
+            shards: 2,
+            durability: Some(DurabilityConfig {
+                dir: dir.clone(),
+                fsync: FsyncPolicy::Always,
+                checkpoint_every_records: u64::MAX,
+                checkpoint_on_shutdown: false,
+                repl_ack: false,
+            }),
+            ..CoreConfig::default()
+        };
+        // Lay the 2-shard store out cleanly, then ruin shard 1.
+        CoreRuntime::bind("127.0.0.1:0", config.clone())
+            .expect("clean bind")
+            .stop();
+        fs::write(dir.join("checkpoint-1.snap"), b"garbage, not a checkpoint").unwrap();
+
+        // Bind on a helper thread: a hang must fail the test, not stall
+        // the suite.
+        let (tx, rx) = mpsc::channel();
+        let helper = thread::spawn(move || {
+            let _ = tx.send(CoreRuntime::bind("127.0.0.1:0", config).map(drop));
+        });
+        let err = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("loops={loops}: bind hung on a failed recovery"))
+            .expect_err("bind must fail when a shard cannot recover");
+        helper.join().expect("bind helper thread");
+        assert!(
+            err.to_string().contains("shard 1"),
+            "loops={loops}: error must name the failed shard: {err}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

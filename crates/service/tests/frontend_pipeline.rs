@@ -1,9 +1,10 @@
-//! Event-loop front-end e2e: many concurrent connections pipelining
-//! batches to sessions spread across shards, with replies completing
-//! out of submission order *across* connections, must each observe
-//! exactly the results of a single-threaded in-process replay. Plus the
-//! two bounded-resource contracts: the per-connection pipeline cap
-//! answering `Busy` in-band, and the idle/partial-frame reapers.
+//! Runtime front-end e2e: many concurrent connections pipelining
+//! batches to sessions spread across shards and loops, with replies
+//! completing out of submission order *across* connections, must each
+//! observe exactly the results of a single-threaded in-process replay.
+//! Plus the two bounded-resource contracts: the per-connection pipeline
+//! cap answering `Busy` in-band (and applying nothing), and the
+//! idle/partial-frame reapers.
 
 #![cfg(unix)]
 
@@ -15,8 +16,7 @@ use std::time::{Duration, Instant};
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::proto::{decode_response, encode_request, read_frame_into};
 use deltaos_service::{
-    EvConfig, EvServer, Event, EventResult, Request, Response, Service, ServiceConfig, Session,
-    SessionId, TcpClient,
+    CoreConfig, CoreRuntime, Event, EventResult, Request, Response, Session, SessionId, TcpClient,
 };
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -65,25 +65,19 @@ fn pipelined_connections_match_in_process_replay() {
     const WINDOW: usize = 8; // in-flight batch frames per connection
     const DIMS: (u16, u16) = (16, 16);
 
-    // Sized so `Busy` is impossible by construction: 2 sessions per
-    // connection spread round-robin over 4 shards = 32 sessions/shard,
-    // each with at most WINDOW outstanding batches: 32 × 8 = 256 < 512.
-    let service = Service::start(ServiceConfig {
-        shards: 4,
-        queue_cap: 512,
-        max_sessions_per_shard: 64,
-        ..ServiceConfig::default()
-    });
-    let server = EvServer::bind(
+    // Sized so `Busy` is impossible by construction: each connection
+    // keeps at most WINDOW batches in flight, half the pipeline cap.
+    let server = CoreRuntime::bind(
         "127.0.0.1:0",
-        service.client(),
-        EvConfig {
-            event_loops: 2,
+        CoreConfig {
+            loops: 2,
+            shards: 4,
+            max_sessions_per_shard: 64,
             max_pipeline: 2 * WINDOW,
-            ..EvConfig::default()
+            ..CoreConfig::default()
         },
     )
-    .expect("bind event-loop server");
+    .expect("bind runtime");
     let addr = server.local_addr();
 
     let mut handles = Vec::new();
@@ -162,7 +156,7 @@ fn pipelined_connections_match_in_process_replay() {
         );
     }
 
-    let stats = server.stats();
+    let stats = server.frontend_stats();
     assert_eq!(stats.accepted, CONNS as u64);
     assert_eq!(stats.desynced, 0, "well-formed traffic must never desync");
     assert_eq!(
@@ -174,24 +168,17 @@ fn pipelined_connections_match_in_process_replay() {
         "every request frame gets exactly one reply"
     );
     server.stop();
-    service.shutdown();
 }
 
 #[test]
 fn pipeline_cap_answers_busy_without_losing_sync() {
-    let service = Service::start(ServiceConfig {
-        shards: 1,
-        queue_cap: 64,
-        max_dim: 96,
-        ..ServiceConfig::default()
-    });
-    let server = EvServer::bind(
+    let server = CoreRuntime::bind(
         "127.0.0.1:0",
-        service.client(),
-        EvConfig {
-            event_loops: 1,
+        CoreConfig {
+            shards: 1,
+            max_dim: 96,
             max_pipeline: 1,
-            ..EvConfig::default()
+            ..CoreConfig::default()
         },
     )
     .expect("bind");
@@ -223,7 +210,7 @@ fn pipeline_cap_answers_busy_without_losing_sync() {
     // A deliberately slow first batch: a 95-link grant/request chain,
     // then repeated avoidance probes — each mutates the RAG, so every
     // probe re-reduces the 96×96 matrix (the chain is the reduction's
-    // worst case, one link per iteration). The shard worker is pinned
+    // worst case, one link per iteration). The owning loop is pinned
     // on this for milliseconds.
     let mut slow = Vec::new();
     for i in 0..95u16 {
@@ -289,27 +276,69 @@ fn pipeline_cap_answers_busy_without_losing_sync() {
         other => panic!("post-Busy probe answered {other:?}"),
     }
 
-    assert_eq!(server.stats().busy_replies, 3);
-    assert_eq!(server.stats().desynced, 0);
+    assert_eq!(server.frontend_stats().busy_replies, 3);
+    assert_eq!(server.frontend_stats().desynced, 0);
+
+    // A request answered `Busy` applies nothing. One write carries a
+    // probe batch and then a mutating `Grant` batch; the probe batch
+    // runs inline and fills the one-deep window, so the grant — read in
+    // the same pass — must bounce, and only the probes may be counted.
+    let events = |stream: &mut TcpStream| -> u64 {
+        match call(stream, &Request::Stats) {
+            Response::Stats { shards, .. } => shards.iter().map(|s| s.events).sum(),
+            other => panic!("stats answered {other:?}"),
+        }
+    };
+    let before = events(&mut stream);
+    let probes = vec![Event::Probe; 4];
+    let mut wire = Vec::new();
+    for req in [
+        &Request::Batch {
+            session: sid,
+            events: probes.clone(),
+        },
+        &Request::Batch {
+            session: sid,
+            events: vec![Event::Grant {
+                q: ResId(95),
+                p: ProcId(95),
+            }],
+        },
+    ] {
+        let payload = encode_request(req);
+        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wire.extend_from_slice(&payload);
+    }
+    stream.write_all(&wire).unwrap();
+    read_frame_into(&mut stream, &mut buf).unwrap();
+    match decode_response(&buf).unwrap() {
+        Response::Batch(r) => assert_eq!(r.len(), probes.len()),
+        other => panic!("probe batch answered {other:?}"),
+    }
+    read_frame_into(&mut stream, &mut buf).unwrap();
+    assert_eq!(
+        decode_response(&buf).unwrap(),
+        Response::Busy,
+        "the grant beyond the cap must answer Busy"
+    );
+    assert_eq!(
+        events(&mut stream),
+        before + probes.len() as u64,
+        "a Busy-answered grant must not be applied"
+    );
+    assert_eq!(server.frontend_stats().busy_replies, 4);
     server.stop();
-    service.shutdown();
 }
 
 #[test]
 fn idle_and_slow_loris_connections_are_reaped() {
-    let service = Service::start(ServiceConfig {
-        shards: 1,
-        queue_cap: 16,
-        ..ServiceConfig::default()
-    });
-    let server = EvServer::bind(
+    let server = CoreRuntime::bind(
         "127.0.0.1:0",
-        service.client(),
-        EvConfig {
-            event_loops: 1,
+        CoreConfig {
+            shards: 1,
             idle_timeout: Duration::from_millis(300),
             partial_frame_deadline: Duration::from_millis(120),
-            ..EvConfig::default()
+            ..CoreConfig::default()
         },
     )
     .expect("bind");
@@ -338,7 +367,7 @@ fn idle_and_slow_loris_connections_are_reaped() {
             Response::Batch(r) => assert_eq!(r.len(), 1),
             other => panic!("healthy probe answered {other:?}"),
         }
-        let s = server.stats();
+        let s = server.frontend_stats();
         if s.reaped_idle >= 1 && s.reaped_partial >= 1 {
             break;
         }
@@ -349,7 +378,7 @@ fn idle_and_slow_loris_connections_are_reaped() {
         thread::sleep(Duration::from_millis(25));
     }
 
-    let stats = server.stats();
+    let stats = server.frontend_stats();
     assert!(stats.reaped_idle >= 1, "idle connection not reaped");
     assert!(
         stats.reaped_partial >= 1,
@@ -369,5 +398,4 @@ fn idle_and_slow_loris_connections_are_reaped() {
         other => panic!("close answered {other:?}"),
     }
     server.stop();
-    service.shutdown();
 }

@@ -7,8 +7,10 @@
 //!
 //! The driver is fully synchronous (blocking client calls), so per-shard
 //! op order — and therefore every counter this test compares — is
-//! deterministic. Timing-dependent counters (`queue_depth_max`, the
-//! `store.*` I/O tallies) are deliberately excluded.
+//! deterministic. Timing-dependent counters (the `store.*` I/O tallies)
+//! are deliberately excluded.
+
+#![cfg(unix)]
 
 use std::collections::HashMap;
 use std::fs;
@@ -17,8 +19,8 @@ use std::path::{Path, PathBuf};
 use deltaos_core::par::ParConfig;
 use deltaos_core::{Priority, ProcId, ResId};
 use deltaos_service::{
-    AvoidanceMode, Broker, DurabilityConfig, Event, EventResult, FsyncPolicy, Service,
-    ServiceConfig, Session, SessionId,
+    AvoidanceMode, Broker, CoreConfig, CoreRuntime, DurabilityConfig, Event, EventResult,
+    FsyncPolicy, Session, SessionId,
 };
 use deltaos_sim::Stats;
 use deltaos_store::wal::{scan, WalEvent};
@@ -59,8 +61,8 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
-fn config(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> ServiceConfig {
-    ServiceConfig {
+fn config(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> CoreConfig {
+    CoreConfig {
         shards: SHARDS,
         durability: Some(DurabilityConfig {
             dir: dir.to_path_buf(),
@@ -69,13 +71,17 @@ fn config(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> ServiceConfi
             checkpoint_on_shutdown: false,
             repl_ack: false,
         }),
-        ..ServiceConfig::default()
+        ..CoreConfig::default()
     }
+}
+
+fn start(config: CoreConfig) -> CoreRuntime {
+    CoreRuntime::bind("127.0.0.1:0", config).expect("bind runtime")
 }
 
 /// Drives a seeded workload through a blocking client; returns the still
 /// open session ids.
-fn drive(service: &Service, seed: u64, ops: usize) -> Vec<SessionId> {
+fn drive(service: &CoreRuntime, seed: u64, ops: usize) -> Vec<SessionId> {
     let mut rng = StdRng::seed_from_u64(seed);
     let client = service.client();
     let mut open: Vec<SessionId> = Vec::new();
@@ -322,7 +328,7 @@ fn replay_reference(dir: &Path, wal_bytes: &[Vec<u8>]) -> Vec<RefShard> {
 /// per-shard deterministic counters first, then a probe on every live
 /// session (advanced identically on both sides).
 fn assert_recovery_matches(dir: &Path, reference: &mut [RefShard], fsync: FsyncPolicy) {
-    let service = Service::start(config(dir, fsync, u64::MAX));
+    let service = start(config(dir, fsync, u64::MAX));
     let client = service.client();
     let per_shard = client.stats().unwrap();
     for (shard, stats) in per_shard.iter().enumerate() {
@@ -344,7 +350,7 @@ fn assert_recovery_matches(dir: &Path, reference: &mut [RefShard], fsync: FsyncP
             );
         }
     }
-    service.shutdown();
+    service.stop();
 }
 
 #[test]
@@ -352,10 +358,10 @@ fn graceful_restart_is_bit_identical() {
     for (name, checkpoint_every) in [("nockpt", u64::MAX), ("ckpt", 16)] {
         let dir = tmp(&format!("graceful-{name}"));
         {
-            let service = Service::start(config(&dir, FsyncPolicy::EveryN(4), checkpoint_every));
+            let service = start(config(&dir, FsyncPolicy::EveryN(4), checkpoint_every));
             assert!(service.recovery().iter().all(|r| r.live_sessions == 0));
             drive(&service, 0xFEED, 300);
-            service.shutdown();
+            service.stop();
         }
         let wal_bytes: Vec<Vec<u8>> = (0..SHARDS)
             .map(|s| fs::read(dir.join(format!("wal-{s}.log"))).unwrap_or_default())
@@ -372,9 +378,9 @@ fn graceful_restart_is_bit_identical() {
 fn crash_at_randomized_wal_points_recovers_the_surviving_prefix() {
     let pristine = tmp("crash-pristine");
     {
-        let service = Service::start(config(&pristine, FsyncPolicy::Os, u64::MAX));
+        let service = start(config(&pristine, FsyncPolicy::Os, u64::MAX));
         drive(&service, 0xC0FFEE, 250);
-        service.shutdown();
+        service.stop();
     }
     let pristine_wals: Vec<Vec<u8>> = (0..SHARDS)
         .map(|s| fs::read(pristine.join(format!("wal-{s}.log"))).unwrap())
@@ -419,7 +425,7 @@ fn crash_at_randomized_wal_points_recovers_the_surviving_prefix() {
 /// modes, prioritized processes, and a contended acquire/release mix
 /// (few resources, more processes) so waiters queue and R-dl asks fire.
 /// All acquires poll (`wait = false`) — the driver is a single thread.
-fn drive_brokers(service: &Service, seed: u64, ops: usize) -> Vec<SessionId> {
+fn drive_brokers(service: &CoreRuntime, seed: u64, ops: usize) -> Vec<SessionId> {
     let mut rng = StdRng::seed_from_u64(seed);
     let client = service.client();
     let mut open: Vec<SessionId> = Vec::new();
@@ -474,9 +480,9 @@ fn drive_brokers(service: &Service, seed: u64, ops: usize) -> Vec<SessionId> {
 fn broker_crash_mid_acquire_regrants_deterministically() {
     let pristine = tmp("broker-crash-pristine");
     {
-        let service = Service::start(config(&pristine, FsyncPolicy::Os, u64::MAX));
+        let service = start(config(&pristine, FsyncPolicy::Os, u64::MAX));
         drive_brokers(&service, 0xB40C, 300);
-        service.shutdown();
+        service.stop();
     }
     let pristine_wals: Vec<Vec<u8>> = (0..SHARDS)
         .map(|s| fs::read(pristine.join(format!("wal-{s}.log"))).unwrap())
@@ -504,7 +510,7 @@ fn broker_crash_mid_acquire_regrants_deterministically() {
             .iter()
             .any(|r| r.brokers.values().any(|b| b.waiter_depth() > 0));
 
-        let service = Service::start(config(&dir, FsyncPolicy::Os, u64::MAX));
+        let service = start(config(&dir, FsyncPolicy::Os, u64::MAX));
         let client = service.client();
         let per_shard = client.stats().unwrap();
         for (shard, stats) in per_shard.iter().enumerate() {
@@ -548,7 +554,7 @@ fn broker_crash_mid_acquire_regrants_deterministically() {
                 }
             }
         }
-        service.shutdown();
+        service.stop();
         fs::remove_dir_all(&dir).unwrap();
     }
     assert!(
@@ -563,13 +569,13 @@ fn recovery_reports_and_session_ids_never_collide() {
     let dir = tmp("info");
     let open_after_restart;
     {
-        let service = Service::start(config(&dir, FsyncPolicy::Always, u64::MAX));
+        let service = start(config(&dir, FsyncPolicy::Always, u64::MAX));
         let open = drive(&service, 0xAB1E, 120);
         assert!(!open.is_empty());
-        service.shutdown();
+        service.stop();
         open_after_restart = open;
     }
-    let service = Service::start(config(&dir, FsyncPolicy::Always, u64::MAX));
+    let service = start(config(&dir, FsyncPolicy::Always, u64::MAX));
     let infos = service.recovery();
     assert_eq!(infos.len(), SHARDS);
     let live: u64 = infos.iter().map(|r| r.live_sessions).sum();
@@ -591,7 +597,7 @@ fn recovery_reports_and_session_ids_never_collide() {
             EventResult::Outcome(_)
         ));
     }
-    service.shutdown();
+    service.stop();
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -599,14 +605,14 @@ fn recovery_reports_and_session_ids_never_collide() {
 fn checkpoint_compaction_truncates_the_wal() {
     let dir = tmp("compaction");
     {
-        let service = Service::start(config(&dir, FsyncPolicy::EveryN(8), 8));
+        let service = start(config(&dir, FsyncPolicy::EveryN(8), 8));
         drive(&service, 0x5EED, 200);
         let merged = service.client().stats_merged().unwrap();
         assert!(
             merged.counter("store.checkpoints") > 0,
             "threshold of 8 records over 200 ops must checkpoint"
         );
-        service.shutdown();
+        service.stop();
     }
     // After compaction the WAL holds only the post-checkpoint suffix.
     for s in 0..SHARDS {

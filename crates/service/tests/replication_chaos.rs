@@ -16,6 +16,8 @@
 //! match `acked + ambiguous[..k]` for some `k`, per session. Nothing
 //! less (a lost ack) and nothing else (reordering, corruption) passes.
 
+#![cfg(unix)]
+
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -24,8 +26,8 @@ use std::time::Duration;
 
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{
-    DurabilityConfig, Event, FsyncPolicy, ReplicaTailer, Request, Response, Service, ServiceConfig,
-    ServiceError, SessionId, TailerConfig, TcpClient, TcpServer,
+    CoreConfig, CoreRuntime, DurabilityConfig, Event, FsyncPolicy, ReplicaTailer, Request,
+    Response, ServiceError, SessionId, TailerConfig, TcpClient,
 };
 use deltaos_store::WalOp;
 use rand::{Rng, SeedableRng, StdRng};
@@ -33,6 +35,10 @@ use rand::{Rng, SeedableRng, StdRng};
 const SHARDS: usize = 2;
 const SESSIONS: u64 = 4;
 const DIMS: u16 = 8;
+
+fn start(config: CoreConfig) -> CoreRuntime {
+    CoreRuntime::bind("127.0.0.1:0", config).expect("bind runtime")
+}
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("deltaos-replchaos-{}-{name}", std::process::id()));
@@ -146,19 +152,18 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
         let pdir = tmp(&format!("primary-{seed}"));
         let fdir = tmp(&format!("follower-{seed}"));
 
-        let primary = Service::start(ServiceConfig {
+        let primary = start(CoreConfig {
             shards: SHARDS,
             durability: Some(durable_config(&pdir, true)),
-            ..ServiceConfig::default()
+            ..CoreConfig::default()
         });
-        let psrv = TcpServer::bind("127.0.0.1:0", primary.client()).expect("bind primary");
-        let paddr = psrv.local_addr();
+        let paddr = primary.local_addr();
 
-        let follower = Service::start(ServiceConfig {
+        let follower = start(CoreConfig {
             shards: SHARDS,
             replica: true,
             durability: Some(durable_config(&fdir, false)),
-            ..ServiceConfig::default()
+            ..CoreConfig::default()
         });
         let tailer =
             ReplicaTailer::start(follower.client(), TailerConfig::new(paddr, SHARDS as u16));
@@ -183,8 +188,7 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
         let mut rng = StdRng::seed_from_u64(0xDEAD ^ seed);
         std::thread::sleep(Duration::from_millis(rng.gen_range(5..40)));
         killed.store(true, Ordering::Release);
-        psrv.stop();
-        primary.shutdown();
+        primary.stop();
         let log = writer.join().expect("writer thread");
         total_acked += log.acked.len();
         let report = tailer.stop();
@@ -213,9 +217,9 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
         // serve probes without logging, letting their engine counters
         // run ahead — comparing first keeps the ledger exact).
         let ledger = per_session(&log);
-        let reference = Service::start(ServiceConfig {
+        let reference = start(CoreConfig {
             shards: SHARDS,
-            ..ServiceConfig::default()
+            ..CoreConfig::default()
         });
         let rc = reference.client();
         for sid in 0..SESSIONS {
@@ -244,7 +248,7 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
                 ambiguous.len(),
             );
         }
-        reference.shutdown();
+        reference.stop();
 
         // Phase 5 — epoch fencing: a record stamped with the deposed
         // primary's epoch 0 lands exactly at the survivor's frontier and
@@ -268,11 +272,11 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
         // Phase 6 — the promotion survives a restart: the epoch was
         // checkpointed, and the recovered service still holds the
         // sessions.
-        follower.shutdown();
-        let revived = Service::start(ServiceConfig {
+        follower.stop();
+        let revived = start(CoreConfig {
             shards: SHARDS,
             durability: Some(durable_config(&fdir, false)),
-            ..ServiceConfig::default()
+            ..CoreConfig::default()
         });
         let rvc = revived.client();
         for shard in 0..SHARDS as u16 {
@@ -287,7 +291,7 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
             rvc.batch(SessionId(sid), vec![Event::Probe])
                 .expect("revived probe");
         }
-        revived.shutdown();
+        revived.stop();
 
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&fdir);

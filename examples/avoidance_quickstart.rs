@@ -3,16 +3,13 @@
 //! the request that would close the cycle and forces the lower-priority
 //! owner to give its resource up, so neither process ever deadlocks.
 //!
-//! Run with `cargo run --example avoidance_quickstart`.
+//! Run with `cargo run --example avoidance_quickstart` (unix targets).
 
 use deltaos::core::{Priority, ProcId, ResId};
-use deltaos::service::{
-    AvoidanceMode, Request, Response, Service, ServiceConfig, TcpClient, TcpServer,
-};
+use deltaos::service::{AvoidanceMode, CoreConfig, CoreRuntime, Request, Response, TcpClient};
 
 fn main() {
-    let service = Service::start(ServiceConfig::default());
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).expect("bind");
+    let server = CoreRuntime::bind("127.0.0.1:0", CoreConfig::default()).expect("bind");
 
     // Two independent client connections — think "two PEs talking to the
     // shared DAU" — sharing one avoidance session.
@@ -96,6 +93,5 @@ fn main() {
         .call(&Request::Close { session: sid })
         .expect("close session");
     server.stop();
-    service.shutdown();
     println!("no deadlock ever formed; session drained cleanly");
 }

@@ -2,30 +2,29 @@
 //! processes, migrate one live, then fail a durable primary over to its
 //! WAL-streaming follower.
 //!
-//! Run with `cargo run --example cluster_quickstart`.
+//! Run with `cargo run --example cluster_quickstart` (unix targets).
 
 use std::time::Duration;
 
 use deltaos::cluster::{ClusterClient, ClusterConfig};
 use deltaos::core::{ProcId, ResId};
 use deltaos::service::{
-    DurabilityConfig, Event, EventResult, FsyncPolicy, ReplicaTailer, Service, ServiceConfig,
-    TailerConfig, TcpServer,
+    CoreConfig, CoreRuntime, DurabilityConfig, Event, EventResult, FsyncPolicy, ReplicaTailer,
+    TailerConfig,
 };
 
 const SHARDS: u16 = 2;
 
-fn mem_node() -> (Service, TcpServer) {
-    let service = Service::start(ServiceConfig {
+fn mem_node() -> CoreRuntime {
+    let config = CoreConfig {
         shards: SHARDS as usize,
-        ..ServiceConfig::default()
-    });
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).expect("bind node");
-    (service, server)
+        ..CoreConfig::default()
+    };
+    CoreRuntime::bind("127.0.0.1:0", config).expect("bind node")
 }
 
-fn durable_node(dir: &std::path::Path, replica: bool) -> (Service, TcpServer) {
-    let service = Service::start(ServiceConfig {
+fn durable_node(dir: &std::path::Path, replica: bool) -> CoreRuntime {
+    let config = CoreConfig {
         shards: SHARDS as usize,
         replica,
         durability: Some(DurabilityConfig {
@@ -33,18 +32,17 @@ fn durable_node(dir: &std::path::Path, replica: bool) -> (Service, TcpServer) {
             fsync: FsyncPolicy::Always,
             ..DurabilityConfig::new(dir)
         }),
-        ..ServiceConfig::default()
-    });
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).expect("bind node");
-    (service, server)
+        ..CoreConfig::default()
+    };
+    CoreRuntime::bind("127.0.0.1:0", config).expect("bind node")
 }
 
 fn main() {
     // --- Part 1: consistent-hash scale-out across three processes -----
     // (In-process here for a self-contained example; each node would
     // normally be its own OS process on its own host.)
-    let nodes: Vec<(Service, TcpServer)> = (0..3).map(|_| mem_node()).collect();
-    let addrs: Vec<_> = nodes.iter().map(|n| n.1.local_addr()).collect();
+    let nodes: Vec<CoreRuntime> = (0..3).map(|_| mem_node()).collect();
+    let addrs: Vec<_> = nodes.iter().map(|n| n.local_addr()).collect();
     let mut cc = ClusterClient::new(ClusterConfig::new(addrs, SHARDS));
 
     // Sessions route by consistent hash; the front-end is a client-side
@@ -102,9 +100,8 @@ fn main() {
     }
     println!("session {} migrated node {from} -> node {to}", sid.0);
 
-    for (service, server) in nodes {
-        server.stop();
-        service.shutdown();
+    for node in nodes {
+        node.stop();
     }
 
     // --- Part 2: WAL-streaming replication and failover ---------------
@@ -112,18 +109,18 @@ fn main() {
     let (pdir, fdir) = (tmp.join("primary"), tmp.join("follower"));
     let _ = std::fs::remove_dir_all(&tmp);
 
-    let (primary, psrv) = durable_node(&pdir, false);
-    let (follower, fsrv) = durable_node(&fdir, true);
+    let primary = durable_node(&pdir, false);
+    let follower = durable_node(&fdir, true);
 
     // The follower tails the primary's WAL over the wire Subscribe op
     // and mirrors every record byte-for-byte into its own log.
     let tailer = ReplicaTailer::start(
         follower.client(),
-        TailerConfig::new(psrv.local_addr(), SHARDS),
+        TailerConfig::new(primary.local_addr(), SHARDS),
     );
 
-    let mut cc = ClusterClient::new(ClusterConfig::new(vec![psrv.local_addr()], SHARDS));
-    let standby = cc.add_standby(fsrv.local_addr());
+    let mut cc = ClusterClient::new(ClusterConfig::new(vec![primary.local_addr()], SHARDS));
+    let standby = cc.add_standby(follower.local_addr());
 
     let sid = cc.open(8, 8).expect("open durable");
     cc.batch(
@@ -147,8 +144,7 @@ fn main() {
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    psrv.stop();
-    primary.shutdown();
+    primary.stop();
     let report = tailer.stop();
     println!(
         "follower applied {} WAL records before the kill",
@@ -174,8 +170,7 @@ fn main() {
     let epoch = cc.replica_status(standby, 0).expect("status").epoch;
     println!("failed over {repointed} session(s); survivor epoch {epoch}");
 
-    fsrv.stop();
-    follower.shutdown();
+    follower.stop();
     let _ = std::fs::remove_dir_all(&tmp);
     println!("cluster drained cleanly");
 }

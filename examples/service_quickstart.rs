@@ -1,17 +1,22 @@
 //! Quickstart for the sharded deadlock service: open sessions through
 //! the in-process client, then the same conversation over TCP.
 //!
-//! Run with `cargo run --example service_quickstart`.
+//! Run with `cargo run --example service_quickstart` (unix targets).
 
 use deltaos::core::{ProcId, ResId};
-use deltaos::service::{
-    Event, EventResult, Request, Response, Service, ServiceConfig, TcpClient, TcpServer,
-};
+use deltaos::service::{CoreConfig, CoreRuntime, Event, EventResult, Request, Response, TcpClient};
 
 fn main() {
-    // --- In-process: a service with 4 shard workers -------------------
-    let service = Service::start(ServiceConfig::default());
-    let client = service.client();
+    // --- In-process: a runtime with 4 shards --------------------------
+    let runtime = CoreRuntime::bind(
+        "127.0.0.1:0",
+        CoreConfig {
+            shards: 4,
+            ..CoreConfig::default()
+        },
+    )
+    .expect("bind");
+    let client = runtime.client();
 
     let sid = client.open(8, 8).expect("open session");
     let results = client
@@ -47,9 +52,8 @@ fn main() {
         ref other => panic!("unexpected {other:?}"),
     }
 
-    // --- The same service fronted by TCP ------------------------------
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).expect("bind");
-    let mut tcp = TcpClient::connect(server.local_addr()).expect("connect");
+    // --- The same runtime over TCP ------------------------------------
+    let mut tcp = TcpClient::connect(runtime.local_addr()).expect("connect");
 
     let Response::Opened(remote_sid) = tcp
         .call(&Request::Open {
@@ -89,7 +93,6 @@ fn main() {
         println!("{} shards ingested {events} events total", shards.len());
     }
 
-    server.stop();
-    service.shutdown();
+    runtime.stop();
     println!("service drained cleanly");
 }

@@ -21,8 +21,9 @@
 //! * [`rtl`] — parameterized Verilog generators and the NAND2 area
 //!   estimator.
 //! * [`service`] — sharded multi-session deadlock detection/avoidance
-//!   service: session-per-RAG incremental engines behind bounded worker
-//!   queues, an in-process client and a length-prefixed TCP protocol.
+//!   service: session-per-RAG incremental engines run inline on pinned
+//!   per-core loops, served over a length-prefixed TCP protocol and to
+//!   in-process clients.
 //! * [`cluster`] — the multi-process layer over [`service`]: a
 //!   consistent-hash front-end routing sessions across N service
 //!   processes, live session migration, and failover onto WAL-streaming

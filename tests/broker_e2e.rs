@@ -2,8 +2,10 @@
 //! paper's golden metered cycle counts must survive the wire unchanged,
 //! and a `wait`ing Acquire blocked on one connection must be granted
 //! asynchronously when another connection releases the resource —
-//! through the event-loop front-end's pipelined-reply path, at every
-//! shard parallelism the CI matrix exercises.
+//! through the runtime's pipelined-reply path, at every shard
+//! parallelism the CI matrix exercises.
+
+#![cfg(unix)]
 
 use std::time::{Duration, Instant};
 
@@ -11,8 +13,7 @@ use deltaos::core::daa::SwDaa;
 use deltaos::core::par::ParConfig;
 use deltaos::core::{Priority, ProcId, ResId};
 use deltaos::service::{
-    AvoidanceMode, ErrorCode, EvConfig, EvServer, Request, Response, Service, ServiceConfig,
-    SessionId, TcpClient, TcpServer,
+    AvoidanceMode, CoreConfig, CoreRuntime, ErrorCode, Request, Response, SessionId, TcpClient,
 };
 
 /// The metered trace behind `core::daa`'s Table 7/9 regression guard:
@@ -48,13 +49,14 @@ fn thread_counts() -> Vec<usize> {
     }
 }
 
-fn config(threads: usize) -> ServiceConfig {
-    ServiceConfig {
+fn config(threads: usize) -> CoreConfig {
+    CoreConfig {
+        shards: 4,
         par: ParConfig {
             threads,
             ..ParConfig::default()
         },
-        ..ServiceConfig::default()
+        ..CoreConfig::default()
     }
 }
 
@@ -75,8 +77,7 @@ fn broker_cycles(resp: &Response) -> u64 {
 #[test]
 fn golden_cycles_survive_the_tcp_broker_byte_identical() {
     for threads in thread_counts() {
-        let service = Service::start(config(threads));
-        let server = TcpServer::bind("127.0.0.1:0", service.client()).unwrap();
+        let server = CoreRuntime::bind("127.0.0.1:0", config(threads)).unwrap();
         let mut client = TcpClient::connect(server.local_addr()).unwrap();
 
         let sid = match client
@@ -154,20 +155,18 @@ fn golden_cycles_survive_the_tcp_broker_byte_identical() {
         );
 
         server.stop();
-        service.shutdown();
     }
 }
 
 /// The asynchronous-grant e2e: connection B's `wait`ing Acquire parks
-/// inside the event-loop front-end (no reply), and connection A's
+/// inside the runtime (no reply), and connection A's
 /// release pushes the grant to B through the pipelined-reply path. A
 /// request B pipelines *behind* the parked acquire is answered after it,
 /// in submission order.
 #[test]
 fn blocked_acquire_is_granted_by_another_connections_release() {
     for threads in thread_counts() {
-        let service = Service::start(config(threads));
-        let server = EvServer::bind("127.0.0.1:0", service.client(), EvConfig::default()).unwrap();
+        let server = CoreRuntime::bind("127.0.0.1:0", config(threads)).unwrap();
         let mut a = TcpClient::connect(server.local_addr()).unwrap();
         let mut b = TcpClient::connect(server.local_addr()).unwrap();
 
@@ -271,7 +270,6 @@ fn blocked_acquire_is_granted_by_another_connections_release() {
         );
         drop(b);
         server.stop();
-        service.shutdown();
     }
 }
 
@@ -280,8 +278,7 @@ fn blocked_acquire_is_granted_by_another_connections_release() {
 /// and acknowledging it releases the resources so the survivor finishes.
 #[test]
 fn rdl_give_up_ack_unblocks_the_survivor_over_tcp() {
-    let service = Service::start(config(1));
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = CoreRuntime::bind("127.0.0.1:0", config(1)).unwrap();
     let mut client = TcpClient::connect(server.local_addr()).unwrap();
 
     let sid = match client
@@ -351,15 +348,13 @@ fn rdl_give_up_ack_unblocks_the_survivor_over_tcp() {
     }
 
     server.stop();
-    service.shutdown();
 }
 
 /// Plain sessions refuse broker commands with the matching typed error,
 /// and `Off`-mode avoidance sessions behave as plain probe sessions.
 #[test]
 fn avoidance_off_is_a_plain_session_and_mixing_is_rejected() {
-    let service = Service::start(config(1));
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = CoreRuntime::bind("127.0.0.1:0", config(1)).unwrap();
     let mut client = TcpClient::connect(server.local_addr()).unwrap();
 
     let off = match client
@@ -408,5 +403,4 @@ fn avoidance_off_is_a_plain_session_and_mixing_is_rejected() {
     );
 
     server.stop();
-    service.shutdown();
 }

@@ -2,18 +2,28 @@
 //! conversation against a live sharded service, including error paths
 //! and a malformed-frame probe against the decoder.
 
+#![cfg(unix)]
+
 use std::net::TcpStream;
 
 use deltaos::core::{ProcId, ResId};
 use deltaos::service::{
-    ErrorCode, Event, EventResult, Request, Response, Service, ServiceConfig, SessionId, TcpClient,
-    TcpServer,
+    CoreConfig, CoreRuntime, ErrorCode, Event, EventResult, Request, Response, SessionId, TcpClient,
 };
+
+const SHARDS: usize = 4;
+
+fn start() -> CoreRuntime {
+    let config = CoreConfig {
+        shards: SHARDS,
+        ..CoreConfig::default()
+    };
+    CoreRuntime::bind("127.0.0.1:0", config).unwrap()
+}
 
 #[test]
 fn tcp_round_trip_detects_deadlock_and_reports_stats() {
-    let service = Service::start(ServiceConfig::default());
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = start();
     let mut client = TcpClient::connect(server.local_addr()).unwrap();
 
     let sid = match client
@@ -85,7 +95,7 @@ fn tcp_round_trip_detects_deadlock_and_reports_stats() {
     // Stats reflect the session's traffic.
     match client.call(&Request::Stats).unwrap() {
         Response::Stats { shards, .. } => {
-            assert_eq!(shards.len(), ServiceConfig::default().shards);
+            assert_eq!(shards.len(), SHARDS);
             let events: u64 = shards.iter().map(|s| s.events).sum();
             let probes: u64 = shards.iter().map(|s| s.probes).sum();
             assert_eq!(events, 5);
@@ -99,8 +109,7 @@ fn tcp_round_trip_detects_deadlock_and_reports_stats() {
         Response::Closed
     );
 
-    server.stop();
-    let per_shard = service.shutdown();
+    let per_shard = server.stop();
     let closed: u64 = per_shard
         .iter()
         .map(|s| s.counter("service.sessions_closed"))
@@ -110,8 +119,7 @@ fn tcp_round_trip_detects_deadlock_and_reports_stats() {
 
 #[test]
 fn tcp_snapshot_restore_roundtrip() {
-    let service = Service::start(ServiceConfig::default());
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = start();
     let mut client = TcpClient::connect(server.local_addr()).unwrap();
 
     let sid = match client
@@ -195,15 +203,13 @@ fn tcp_snapshot_restore_roundtrip() {
     );
 
     server.stop();
-    service.shutdown();
 }
 
 #[test]
 fn malformed_frames_get_in_band_errors_and_never_kill_the_service() {
     use std::io::{Read, Write};
 
-    let service = Service::start(ServiceConfig::default());
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = start();
 
     // A raw socket sending a well-framed but garbage payload: the server
     // answers with a typed BadRequest error and keeps the stream alive.
@@ -248,5 +254,4 @@ fn malformed_frames_get_in_band_errors_and_never_kill_the_service() {
     ));
 
     server.stop();
-    service.shutdown();
 }
