@@ -1329,6 +1329,8 @@ fn run_core_loop(ctx: CoreCtx) -> Vec<Stats> {
                 continue;
             }
             if re & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 {
+                // One read per event unless it fills the buffer's spare
+                // space; an EOF behind the data shows on the next poll.
                 match c.rbuf.fill_from(&mut c.stream) {
                     ReadOutcome::Progress(n, eof) => {
                         if n > 0 {

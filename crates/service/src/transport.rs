@@ -1,9 +1,9 @@
 //! Non-blocking socket plumbing for the [`crate::core_runtime`] loops:
-//! the raw `poll(2)` shim, incremental frame reassembly over a growable
-//! read buffer, and the front-end transport counters.
+//! the raw `poll(2)` shim, incremental frame reassembly over a read
+//! buffer that is zeroed only when it grows, and the front-end transport
+//! counters.
 
 use std::io::{self, Read};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::proto::{FrontendStats, WireError, MAX_FRAME};
@@ -99,17 +99,21 @@ impl Counters {
 // Incremental frame reassembly
 // ---------------------------------------------------------------------
 
-/// Incremental reassembly over a growable buffer: bytes land at the
-/// tail, complete frames are consumed from `pos`, and [`compact`]
-/// reclaims the consumed prefix between poll iterations. The buffer
-/// owns the bytes; frame payloads are borrowed slices of it — no
-/// per-frame allocation or copy.
+/// Incremental reassembly over a read buffer that stays initialised:
+/// `buf[pos..end]` holds received bytes not yet consumed, and
+/// `buf[end..]` is spare space that the next `read` lands in. Complete
+/// frames are consumed from `pos`, and [`compact`] moves the unconsumed
+/// bytes to the front between poll iterations. Bytes are zeroed only
+/// when the buffer grows, so a connection in steady state never pays a
+/// memset. The buffer owns the bytes; frame payloads are borrowed slices
+/// of it — no per-frame allocation or copy.
 ///
 /// [`compact`]: FrameBuf::compact
 #[derive(Debug, Default)]
 pub(crate) struct FrameBuf {
     buf: Vec<u8>,
     pos: usize,
+    end: usize,
 }
 
 /// What one readable event yielded.
@@ -122,40 +126,42 @@ pub(crate) enum ReadOutcome {
 }
 
 impl FrameBuf {
-    /// Appends raw bytes (test seam; the live path reads straight from
-    /// the socket via [`FrameBuf::fill_from`]).
+    /// Appends raw bytes through [`FrameBuf::fill_from`], the path the
+    /// loop reads the socket with (test seam).
     #[cfg(test)]
     fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        let got = self.fill_from(&mut &bytes[..]);
+        assert!(matches!(got, ReadOutcome::Progress(n, _) if n == bytes.len()));
     }
 
-    /// Reads from `stream` until it would block (or EOF/error),
-    /// appending to the tail.
-    pub(crate) fn fill_from(&mut self, stream: &mut TcpStream) -> ReadOutcome {
+    /// Reads from `src` into the spare space after the filled bytes,
+    /// first growing the buffer by the missing bytes if that space is
+    /// below [`READ_CHUNK`]. A read that fills the space is followed by
+    /// another; a shorter one drained the socket, so the call returns —
+    /// `poll` is level-triggered, and reports later bytes (or EOF) on
+    /// the next iteration.
+    pub(crate) fn fill_from(&mut self, src: &mut impl Read) -> ReadOutcome {
         let mut total = 0usize;
         loop {
-            let old = self.buf.len();
-            self.buf.resize(old + READ_CHUNK, 0);
-            match stream.read(&mut self.buf[old..]) {
-                Ok(0) => {
-                    self.buf.truncate(old);
-                    return ReadOutcome::Progress(total, true);
-                }
+            if self.buf.len() - self.end < READ_CHUNK {
+                self.buf.resize(self.end + READ_CHUNK, 0);
+            }
+            let spare = &mut self.buf[self.end..];
+            let room = spare.len();
+            match src.read(spare) {
+                Ok(0) => return ReadOutcome::Progress(total, true),
                 Ok(n) => {
-                    self.buf.truncate(old + n);
+                    self.end += n;
                     total += n;
+                    if n < room {
+                        return ReadOutcome::Progress(total, false);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.buf.truncate(old);
                     return ReadOutcome::Progress(total, false);
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    self.buf.truncate(old);
-                }
-                Err(_) => {
-                    self.buf.truncate(old);
-                    return ReadOutcome::Broken;
-                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return ReadOutcome::Broken,
             }
         }
     }
@@ -168,7 +174,7 @@ impl FrameBuf {
     /// [`WireError::Oversized`] when the length prefix exceeds
     /// [`MAX_FRAME`] — framing is lost and the stream must be dropped.
     pub(crate) fn next_frame(&mut self) -> Result<Option<(usize, usize)>, WireError> {
-        let avail = self.buf.len() - self.pos;
+        let avail = self.end - self.pos;
         if avail < 4 {
             return Ok(None);
         }
@@ -190,13 +196,12 @@ impl FrameBuf {
         &self.buf[a..b]
     }
 
-    /// Drops the consumed prefix so the buffer only holds the (at most
-    /// one) partial frame at its head.
+    /// Moves the unconsumed bytes (at most one partial frame) to the
+    /// front; the spare space after them keeps its initialised bytes.
     pub(crate) fn compact(&mut self) {
         if self.pos > 0 {
-            self.buf.copy_within(self.pos.., 0);
-            let keep = self.buf.len() - self.pos;
-            self.buf.truncate(keep);
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
             self.pos = 0;
         }
     }
@@ -204,7 +209,7 @@ impl FrameBuf {
     /// `true` while an incomplete frame (or stray bytes) sits in the
     /// buffer — the state the slow-loris deadline polices.
     pub(crate) fn has_partial(&self) -> bool {
-        self.pos < self.buf.len()
+        self.pos < self.end
     }
 }
 
@@ -212,6 +217,7 @@ impl FrameBuf {
 mod tests {
     use super::*;
     use crate::proto::{encode_request, write_frame, Request, SessionId};
+    use std::collections::VecDeque;
 
     /// Three representative frames, length-prefixed, as one byte stream.
     fn frame_stream() -> (Vec<u8>, Vec<Vec<u8>>) {
@@ -252,9 +258,9 @@ mod tests {
         for &b in &wire {
             fb.extend(&[b]);
             got.extend(drain(&mut fb));
-            // Compaction never strands bytes: buffer holds at most the
-            // partial head frame.
-            assert!(fb.buf.len() < 4 + payloads.iter().map(Vec::len).max().unwrap() + 1);
+            // Compaction never strands bytes: the filled length covers at
+            // most the partial head frame.
+            assert!(fb.end < 4 + payloads.iter().map(Vec::len).max().unwrap() + 1);
         }
         assert_eq!(got, payloads);
         assert!(!fb.has_partial(), "no residue after the final byte");
@@ -300,5 +306,153 @@ mod tests {
         fb.extend(&wire[2..]);
         let _ = drain(&mut fb);
         assert!(!fb.has_partial());
+    }
+
+    /// One scripted `read` result.
+    enum Step {
+        /// Writes `data` at the front of the offered space and `junk`
+        /// right after it, and reports only `data` as read.
+        Data {
+            data: Vec<u8>,
+            junk: Vec<u8>,
+        },
+        /// Fills the whole offered space.
+        Fill,
+        Eof,
+        Fail(io::ErrorKind),
+    }
+
+    /// A reader that plays a script and records what each `read` was
+    /// offered; reading past the script fails the test.
+    struct Script {
+        steps: VecDeque<Step>,
+        offered: Vec<Vec<u8>>,
+    }
+
+    impl Script {
+        fn new(steps: Vec<Step>) -> Script {
+            Script {
+                steps: steps.into(),
+                offered: Vec::new(),
+            }
+        }
+
+        fn data(bytes: &[u8]) -> Step {
+            Step::Data {
+                data: bytes.to_vec(),
+                junk: Vec::new(),
+            }
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.offered.push(buf.to_vec());
+            match self
+                .steps
+                .pop_front()
+                .expect("read past the end of the script")
+            {
+                Step::Data { data, junk } => {
+                    buf[..data.len()].copy_from_slice(&data);
+                    buf[data.len()..data.len() + junk.len()].copy_from_slice(&junk);
+                    Ok(data.len())
+                }
+                Step::Fill => {
+                    buf.fill(0x5A);
+                    Ok(buf.len())
+                }
+                Step::Eof => Ok(0),
+                Step::Fail(kind) => Err(kind.into()),
+            }
+        }
+    }
+
+    fn progress(outcome: ReadOutcome) -> (usize, bool) {
+        match outcome {
+            ReadOutcome::Progress(n, eof) => (n, eof),
+            ReadOutcome::Broken => panic!("unexpected Broken"),
+        }
+    }
+
+    #[test]
+    fn spare_bytes_survive_compaction_unzeroed() {
+        let (wire, payloads) = frame_stream();
+        // The first frame whole plus three bytes of the second, with
+        // junk written past the reported length.
+        let first = 4 + payloads[0].len();
+        let cut = first + 3;
+        let junk = vec![0xA5; 16];
+        let mut script = Script::new(vec![
+            Step::Data {
+                data: wire[..cut].to_vec(),
+                junk: junk.clone(),
+            },
+            Script::data(&wire[cut..]),
+        ]);
+        let mut fb = FrameBuf::default();
+        assert_eq!(progress(fb.fill_from(&mut script)), (cut, false));
+        assert_eq!(drain(&mut fb), payloads[..1]);
+        // Compaction moved the three partial bytes to the front.
+        assert_eq!(fb.end, 3);
+        assert_eq!(
+            progress(fb.fill_from(&mut script)),
+            (wire.len() - cut, false)
+        );
+        assert_eq!(drain(&mut fb), payloads[1..]);
+        // The second read was offered `buf[3..]`: the junk that sat at
+        // `cut..cut + 16` is still there, not zero-filled.
+        assert_eq!(script.offered[1][cut - 3..cut - 3 + junk.len()], junk[..]);
+    }
+
+    #[test]
+    fn a_short_read_ends_the_fill() {
+        let mut script = Script::new(vec![Script::data(b"hello")]);
+        let mut fb = FrameBuf::default();
+        assert_eq!(progress(fb.fill_from(&mut script)), (5, false));
+        assert_eq!(script.offered.len(), 1);
+        assert_eq!(script.offered[0].len(), READ_CHUNK);
+    }
+
+    #[test]
+    fn a_read_that_fills_the_space_is_followed_by_another() {
+        let mut script = Script::new(vec![Step::Fill, Script::data(b"tail")]);
+        let mut fb = FrameBuf::default();
+        assert_eq!(progress(fb.fill_from(&mut script)), (READ_CHUNK + 4, false));
+        assert_eq!(script.offered.len(), 2);
+        // The buffer grew by one chunk before the second read.
+        assert_eq!(script.offered[1].len(), READ_CHUNK);
+        assert_eq!(fb.end, READ_CHUNK + 4);
+    }
+
+    #[test]
+    fn eof_errors_and_retries() {
+        // EOF behind a short data read shows on the next call.
+        let mut script = Script::new(vec![Script::data(b"abc"), Step::Eof]);
+        let mut fb = FrameBuf::default();
+        assert_eq!(progress(fb.fill_from(&mut script)), (3, false));
+        assert_eq!(progress(fb.fill_from(&mut script)), (0, true));
+        assert_eq!(script.offered.len(), 2);
+
+        let mut script = Script::new(vec![
+            Step::Fail(io::ErrorKind::Interrupted),
+            Script::data(b"abc"),
+        ]);
+        assert_eq!(
+            progress(FrameBuf::default().fill_from(&mut script)),
+            (3, false)
+        );
+
+        let mut script = Script::new(vec![Step::Fail(io::ErrorKind::WouldBlock)]);
+        assert_eq!(
+            progress(FrameBuf::default().fill_from(&mut script)),
+            (0, false)
+        );
+
+        let mut script = Script::new(vec![Step::Fail(io::ErrorKind::ConnectionReset)]);
+        assert!(matches!(
+            FrameBuf::default().fill_from(&mut script),
+            ReadOutcome::Broken
+        ));
     }
 }

@@ -4,19 +4,22 @@
 //! observe exactly the results of a single-threaded in-process replay.
 //! Plus the two bounded-resource contracts: the per-connection pipeline
 //! cap answering `Busy` in-band (and applying nothing), and the
-//! idle/partial-frame reapers.
+//! idle/partial-frame reapers; and two read-path edges: request frames
+//! larger than one socket read, and a client that half-closes with
+//! requests still in flight.
 
 #![cfg(unix)]
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::proto::{decode_response, encode_request, read_frame_into};
 use deltaos_service::{
-    CoreConfig, CoreRuntime, Event, EventResult, Request, Response, Session, SessionId, TcpClient,
+    CoreConfig, CoreRuntime, ErrorCode, Event, EventResult, Request, Response, Session, SessionId,
+    TcpClient,
 };
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -55,6 +58,22 @@ fn open(cli: &mut TcpClient, resources: u16, processes: u16) -> SessionId {
         Response::Opened(sid) => sid,
         other => panic!("open answered {other:?}"),
     }
+}
+
+/// The requests as one length-prefixed byte stream.
+fn framed(reqs: &[&Request]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for req in reqs {
+        let payload = encode_request(req);
+        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wire.extend_from_slice(&payload);
+    }
+    wire
+}
+
+fn read_response(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Response {
+    read_frame_into(stream, buf).expect("read reply frame");
+    decode_response(buf).expect("decode reply")
 }
 
 #[test]
@@ -397,5 +416,92 @@ fn idle_and_slow_loris_connections_are_reaped() {
         Response::Closed => {}
         other => panic!("close answered {other:?}"),
     }
+    server.stop();
+}
+
+#[test]
+fn request_frames_larger_than_a_read_chunk_reassemble() {
+    let server = CoreRuntime::bind(
+        "127.0.0.1:0",
+        CoreConfig {
+            shards: 1,
+            ..CoreConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    // A 300 KB frame outgrows the 64 KiB read buffer several times over;
+    // the `Open` behind it checks that framing survived the growth.
+    let wire = framed(&[
+        &Request::Restore {
+            snapshot: vec![0xEE; 300_000],
+        },
+        &Request::Open {
+            resources: 4,
+            processes: 4,
+        },
+    ]);
+    let mut buf = Vec::new();
+    for piece in [wire.len(), 7 * 1024] {
+        for chunk in wire.chunks(piece) {
+            stream.write_all(chunk).expect("write request bytes");
+        }
+        assert_eq!(
+            read_response(&mut stream, &mut buf),
+            Response::Error(ErrorCode::InvalidSnapshot),
+            "{piece}-byte writes"
+        );
+        match read_response(&mut stream, &mut buf) {
+            Response::Opened(_) => {}
+            other => panic!("open after the large frame answered {other:?}"),
+        }
+    }
+    assert_eq!(server.frontend_stats().desynced, 0);
+    server.stop();
+}
+
+#[test]
+fn half_closed_client_gets_every_reply_then_eof() {
+    let server = CoreRuntime::bind(
+        "127.0.0.1:0",
+        CoreConfig {
+            shards: 1,
+            ..CoreConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    // A fresh runtime gives its first session id 0, so the batches can
+    // ride in the same write as the `Open`.
+    let open = Request::Open {
+        resources: 4,
+        processes: 4,
+    };
+    let probe = Request::Batch {
+        session: SessionId(0),
+        events: vec![Event::Probe],
+    };
+    let mut reqs = vec![&open];
+    reqs.extend([&probe; 20]);
+    stream.write_all(&framed(&reqs)).expect("pipelined write");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+
+    let mut buf = Vec::new();
+    assert_eq!(
+        read_response(&mut stream, &mut buf),
+        Response::Opened(SessionId(0))
+    );
+    for k in 0..20 {
+        match read_response(&mut stream, &mut buf) {
+            Response::Batch(r) => assert_eq!(r.len(), 1, "probe {k}"),
+            other => panic!("probe {k} answered {other:?}"),
+        }
+    }
+    // Every reply drained: the runtime reaps the connection.
+    assert_eq!(stream.read(&mut [0u8; 1]).expect("read EOF"), 0);
+    let stats = server.frontend_stats();
+    assert_eq!(stats.closed, 1);
+    assert_eq!(stats.replies_out, 21);
     server.stop();
 }
