@@ -74,8 +74,8 @@ pub struct EngineStats {
     pub sparse_reductions: u64,
     /// Live edges in the mirror at read time (a gauge, not a counter).
     pub live_edges: u64,
-    /// `live_edges * 1000 / (m * n)` at read time — the density the
-    /// hybrid dispatcher gates on (a gauge, not a counter).
+    /// `live_edges * 1000 / (m * n)` at read time (a gauge, not a
+    /// counter).
     pub density_permille: u64,
 }
 
@@ -237,7 +237,7 @@ impl DetectEngine {
         let colmajor = cfg.wants_colmajor(resources, processes);
         let sparse_cfg = SparseConfig::default();
         let sparse = sparse_cfg
-            .covers_shape(resources * processes)
+            .covers_shape(resources, processes)
             .then(|| Box::new(SparseState::new(resources, processes)));
         DetectEngine {
             mirror: StateMatrix::new(resources, processes),
@@ -341,9 +341,7 @@ impl DetectEngine {
         self.live_edges
     }
 
-    /// Current mirror density in thousandths of the matrix area — the
-    /// quantity the hybrid dispatcher compares against
-    /// [`SparseConfig::max_density_permille`].
+    /// Current mirror density in thousandths of the matrix area.
     pub fn density_permille(&self) -> u64 {
         let area = (self.resources() * self.processes()) as u64;
         self.live_edges
@@ -363,7 +361,7 @@ impl DetectEngine {
     /// it out the mirror is dropped.
     pub fn set_sparse(&mut self, cfg: SparseConfig) {
         self.sparse_cfg = cfg;
-        if cfg.covers_shape(self.resources() * self.processes()) {
+        if cfg.covers_shape(self.resources(), self.processes()) {
             if self.sparse.is_none() {
                 let mut sp = Box::new(SparseState::new(self.resources(), self.processes()));
                 sp.rebuild_from_matrix(&self.mirror);
@@ -731,14 +729,15 @@ impl DetectEngine {
             }
         }
         self.flush_dirty();
-        // Hybrid dispatch: above the area gate and below the density
-        // gate the adjacency-list engine wins; everything else — always
-        // including paper scale — stays on the proven dense engine. The
-        // decision depends only on shape and live-edge count, so it is
-        // identical at every thread count.
-        let area = self.resources() * self.processes();
-        let prefers_sparse = self.sparse_cfg.prefers_sparse(area, self.live_edges);
-        if let Some(sp) = self.sparse.as_mut().filter(|_| prefers_sparse) {
+        // Hybrid dispatch: the gate compares the live-edge count with
+        // the dense engine's per-pass work for this shape (see
+        // `SparseConfig`); paper scale always stays dense. The decision
+        // depends only on shape and live-edge count, so it is identical
+        // at every thread count.
+        let prefers_sparse =
+            self.sparse_cfg
+                .prefers_sparse(self.resources(), self.processes(), self.live_edges);
+        if let Some(sp) = self.sparse.as_ref().filter(|_| prefers_sparse) {
             debug_assert_eq!(
                 sp.live_edges(),
                 self.live_edges,
@@ -1126,7 +1125,7 @@ mod tests {
     #[test]
     fn default_config_keeps_paper_scale_dense() {
         let mut e = DetectEngine::new(5, 5);
-        assert!(!e.sparse_config().covers_shape(25));
+        assert!(!e.sparse_config().covers_shape(5, 5));
         e.probe(&Rag::new(5, 5));
         assert_eq!(e.stats().dense_reductions, 1);
         assert_eq!(e.stats().sparse_reductions, 0);

@@ -9,16 +9,30 @@
 //!
 //! [`SparseState`] keeps the same state as one flat edge array: every
 //! live cell is a (row, column, grant bit) triple, stored contiguously in
-//! no particular order. A per-row list of edge slots indexes the array,
-//! so a cell read or write costs O(degree) of the touched row; deleting
-//! an edge swap-removes it and repoints the one slot that moved.
+//! no particular order. Each row's edges form a chain through the array
+//! (a head slot per row, a next slot per edge), so a cell read or write
+//! costs O(degree) of the touched row and a new edge allocates nothing
+//! per row; deleting an edge unlinks it, swap-removes it and repoints
+//! the one link that held the moved edge.
 //!
-//! [`SparseState::reduce`] copies the edge array into a workspace and
-//! counts `[requests, grants]` per row and per column. Each pass splits
-//! the surviving edges into kept and gone, then decrements the counts of
-//! the gone edges. An edge goes when its row or its column is terminal
-//! (requests XOR grants), judged on the counts as they stood at the start
-//! of the pass.
+//! [`SparseState::reduce`] counts `[requests, grants]` per row and per
+//! column. Each pass splits the surviving edges into kept and gone, then
+//! decrements the counts of the gone edges. An edge goes when its row or
+//! its column is terminal (requests XOR grants), judged on the counts as
+//! they stood at the start of the pass. The first pass splits straight
+//! from the state's own edge array, so the state is read, never copied.
+//!
+//! **Workspace.** The counts and the kept/gone edge lists live in one
+//! workspace per thread (a `thread_local!`, like
+//! [`crate::pdda::detect`]'s engine), shared by every state the thread
+//! probes, whatever its shape. A service loop that owns many sessions
+//! therefore holds one set of reduction buffers, not one per session,
+//! and the probe takes `&self`. The buffers grow to the largest shape
+//! and edge count the thread has reduced. The sharing rests on one
+//! invariant: every count is zero between probes. A probe adds its
+//! edges' counts and takes them back to zero before it returns (gone
+//! edges by decrement, survivors by a final reset), so it touches no
+//! O(m + n) state and a probe of another shape finds clean counts.
 //!
 //! **Equivalence.** That rule is [`crate::reduction::reduce_core`]'s pass
 //! restated per edge:
@@ -42,8 +56,8 @@
 //! LCG equivalence suite drives both paths through identical random
 //! delta streams to enforce this).
 //!
-//! **Cost.** Copying and counting is O(edges). A pass is one sweep over
-//! the surviving edges plus a decrement per gone edge, all over a few
+//! **Cost.** Counting is O(edges). A pass is one sweep over the
+//! surviving edges plus a decrement per gone edge, all over a few
 //! contiguous arrays, so a probe costs O(Σ surviving edges over its
 //! passes). Shallow graphs, which lose most edges in the first few
 //! passes, cost a small multiple of the edge count. The worst case is a
@@ -54,6 +68,8 @@
 //! represents graphs beyond `u16` ids (e.g. 1M×1M, where a dense
 //! bit-matrix pair would need ~500 GB) in memory proportional to the
 //! edge count.
+
+use std::cell::RefCell;
 
 use crate::matrix::{Cell, StateMatrix};
 use crate::pdda::DetectOutcome;
@@ -67,29 +83,52 @@ use crate::{Rag, RagDelta, ResId};
 /// never of thread counts or timing — so which engine serves a probe is
 /// a deterministic property of the input, and stats stay bit-identical
 /// across thread counts.
+///
+/// The default is fitted to the crossover grid in `BENCH_sparse.json`
+/// (the `detect_sparse` bench: forced-dense against forced-sparse probes
+/// over six shapes, four densities and two reduction depths). A pass of
+/// either engine costs in proportion to what it visits: the sparse one
+/// visits each surviving edge, the dense one each live row, at about
+/// four words of bookkeeping plus its matrix words. A sparse edge visit
+/// and a dense word visit cost about the same, so the sparse path wins
+/// while the graph holds fewer edges than the dense engine's work per
+/// pass with every row live: rows × (words per row + 4), in whichever
+/// orientation is cheaper (the engine reduces tall matrices
+/// column-major). Both sides scale with the number of passes alike, so
+/// the crossover holds for shallow and deep graphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SparseConfig {
-    /// Minimum matrix area (`m * n`) before the sparse path is
-    /// considered at all. The default keeps everything below 1024×1024 —
-    /// including every paper-scale case — on the proven dense engine.
+    /// Minimum matrix area (`m * n`) at which the engine keeps a sparse
+    /// mirror and may take the sparse path. The default, 64², keeps
+    /// paper-scale matrices and 16² service sessions on the dense path
+    /// with no second mirror: the grid finds the sparse probe faster at
+    /// 16² as well, by 0.04–1.4 µs, but a mirror there left
+    /// `svcbench`'s `wire_rtt` (256 such sessions) no cheaper per op.
     pub min_area: usize,
-    /// Maximum live-edge density, in thousandths of the matrix area
-    /// (`live_edges * 1000 <= max_density_permille * area`), at which the
-    /// sparse path is preferred. Above it the dense word-parallel scan
-    /// wins and the engine falls back.
-    pub max_density_permille: u64,
+    /// Live edges the sparse path may carry per 1000 word visits of the
+    /// dense engine's work per pass. The default, 1000, is the fitted
+    /// crossover: one edge per word visit.
+    pub edges_per_kilo_work: u64,
+}
+
+/// Dense bookkeeping per live row and pass, in word visits: the
+/// worklist, terminal flag and removal of a row (fitted to the grid).
+const ROW_WORDS: u64 = 4;
+
+/// The dense engine's work per reduction pass with every row live, in
+/// word visits: rows × (words per row + [`ROW_WORDS`]), in whichever
+/// orientation is cheaper.
+fn dense_work(m: usize, n: usize) -> u64 {
+    let (m, n) = (m as u64, n as u64);
+    let rows_major = |rows: u64, cols: u64| rows.saturating_mul(cols.div_ceil(64) + ROW_WORDS);
+    rows_major(m, n).min(rows_major(n, m))
 }
 
 impl Default for SparseConfig {
     fn default() -> Self {
         SparseConfig {
-            // 1024² and up, at most 4‰ of the area (≈4.2k edges at
-            // 1024²). 4‰ is not a measured crossover: `detect_sparse`
-            // finds the sparse path faster than dense on every row it
-            // runs, down to 500², but every row sits below 0.5‰ of its
-            // area.
-            min_area: 1 << 20,
-            max_density_permille: 4,
+            min_area: 64 * 64,
+            edges_per_kilo_work: 1000,
         }
     }
 }
@@ -99,7 +138,7 @@ impl SparseConfig {
     pub fn disabled() -> Self {
         SparseConfig {
             min_area: usize::MAX,
-            max_density_permille: 0,
+            edges_per_kilo_work: 0,
         }
     }
 
@@ -107,22 +146,22 @@ impl SparseConfig {
     pub fn always() -> Self {
         SparseConfig {
             min_area: 0,
-            max_density_permille: u64::MAX,
+            edges_per_kilo_work: u64::MAX,
         }
     }
 
-    /// `true` if a matrix of this area may ever use the sparse path
+    /// `true` if an `m` × `n` matrix may ever use the sparse path
     /// (governs whether the engine maintains the sparse mirror).
-    pub fn covers_shape(&self, area: usize) -> bool {
-        area >= self.min_area
+    pub fn covers_shape(&self, m: usize, n: usize) -> bool {
+        m.saturating_mul(n) >= self.min_area
     }
 
-    /// `true` if a probe at this area and live-edge count should take
-    /// the sparse path.
-    pub fn prefers_sparse(&self, area: usize, live_edges: u64) -> bool {
-        self.covers_shape(area)
+    /// `true` if a probe of an `m` × `n` matrix holding `live_edges`
+    /// edges should take the sparse path.
+    pub fn prefers_sparse(&self, m: usize, n: usize, live_edges: u64) -> bool {
+        self.covers_shape(m, n)
             && live_edges.saturating_mul(1000)
-                <= self.max_density_permille.saturating_mul(area as u64)
+                <= self.edges_per_kilo_work.saturating_mul(dense_work(m, n))
     }
 }
 
@@ -141,10 +180,10 @@ fn terminal(counts: [u32; 2]) -> bool {
     (counts[0] == 0) != (counts[1] == 0)
 }
 
-/// Reusable probe workspace: the surviving edges, the edges removed in
+/// The reduction workspace: the surviving edges, the edges removed in
 /// the current pass, and `[requests, grants]` counts per row and per
-/// column. The counts are all zero between probes.
-#[derive(Debug, Clone, Default)]
+/// column, all zero between probes (see the module doc).
+#[derive(Debug, Default)]
 struct Workspace {
     live: Vec<Edge>,
     gone: Vec<Edge>,
@@ -152,16 +191,87 @@ struct Workspace {
     col_cnt: Vec<[u32; 2]>,
 }
 
+thread_local! {
+    /// The workspace every sparse state probed on this thread shares.
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
 impl Workspace {
-    fn ensure(&mut self, m: usize, n: usize) {
+    /// Terminal reduction of `edges` on an `m` × `n` matrix. See the
+    /// module doc for the rule and its equivalence to the dense engine.
+    fn reduce(&mut self, edges: &[Edge], m: usize, n: usize) -> ReductionReport {
         if self.row_cnt.len() < m {
             self.row_cnt.resize(m, [0; 2]);
         }
         if self.col_cnt.len() < n {
             self.col_cnt.resize(n, [0; 2]);
         }
+        let Workspace {
+            live,
+            gone,
+            row_cnt,
+            col_cnt,
+        } = self;
+        debug_assert!(
+            row_cnt.iter().chain(col_cnt.iter()).all(|c| *c == [0; 2]),
+            "sparse workspace counts must be zero between probes"
+        );
+        for e in edges {
+            row_cnt[e.row as usize][e.grant as usize] += 1;
+            col_cnt[e.col as usize][e.grant as usize] += 1;
+        }
+        // An edge goes if either end is terminal on the counts as they
+        // stood at the start of the pass.
+        let goes = |row_cnt: &[[u32; 2]], col_cnt: &[[u32; 2]], e: &Edge| {
+            terminal(row_cnt[e.row as usize]) || terminal(col_cnt[e.col as usize])
+        };
+        // The first pass splits straight from the persistent array, so
+        // the state's edges are read once and never copied whole.
+        live.clear();
+        gone.clear();
+        for e in edges {
+            if goes(row_cnt, col_cnt, e) {
+                gone.push(*e);
+            } else {
+                live.push(*e);
+            }
+        }
+        let mut iterations = 0u32;
+        let mut steps = 1u32;
+        // The pass that removes nothing is counted in `steps` (the DDU
+        // spends a clock raising `T_iter = 0`).
+        while !gone.is_empty() {
+            iterations += 1;
+            for e in gone.iter() {
+                row_cnt[e.row as usize][e.grant as usize] -= 1;
+                col_cnt[e.col as usize][e.grant as usize] -= 1;
+            }
+            steps += 1;
+            gone.clear();
+            live.retain(|e| {
+                let g = goes(row_cnt, col_cnt, e);
+                if g {
+                    gone.push(*e);
+                }
+                !g
+            });
+        }
+        // Gone edges took their counts to zero; zero what the survivors
+        // still hold so the next probe starts clean in O(survivors).
+        for e in live.iter() {
+            row_cnt[e.row as usize] = [0; 2];
+            col_cnt[e.col as usize] = [0; 2];
+        }
+        ReductionReport {
+            iterations,
+            steps,
+            complete: live.is_empty(),
+        }
     }
 }
+
+/// End of a row's edge chain.
+const NIL: u32 = u32::MAX;
 
 /// Flat edge-array encoding of the state matrix, with the same cell
 /// semantics as [`StateMatrix`] (a cell is Empty, Request or Grant;
@@ -173,11 +283,13 @@ pub struct SparseState {
     n: usize,
     /// Every live edge, in no particular order.
     edges: Vec<Edge>,
-    /// `row_slots[s]` = indices into `edges` of row `s`'s edges. A row
-    /// may hold several grants: direct DDU-style cell writes can legally
-    /// produce multi-grant rows, and the matrix twin represents them.
-    row_slots: Vec<Vec<u32>>,
-    ws: Workspace,
+    /// `next[i]` = slot of the next edge in edge `i`'s row, or [`NIL`]:
+    /// each row's edges form one chain through the array. A row may hold
+    /// several grants: direct DDU-style cell writes can legally produce
+    /// multi-grant rows, and the matrix twin represents them.
+    next: Vec<u32>,
+    /// `head[s]` = slot of row `s`'s first edge, or [`NIL`].
+    head: Vec<u32>,
 }
 
 impl SparseState {
@@ -199,8 +311,8 @@ impl SparseState {
             m: resources,
             n: processes,
             edges: Vec::new(),
-            row_slots: vec![Vec::new(); resources],
-            ws: Workspace::default(),
+            next: Vec::new(),
+            head: vec![NIL; resources],
         }
     }
 
@@ -224,18 +336,24 @@ impl SparseState {
         self.edges.is_empty()
     }
 
+    /// The slot of cell `(s, col)` in row `s`'s chain, or [`NIL`], and
+    /// the slot before it ([`NIL`] when it is the head).
+    fn find(&self, s: usize, col: u32) -> (u32, u32) {
+        let (mut prev, mut i) = (NIL, self.head[s]);
+        while i != NIL && self.edges[i as usize].col != col {
+            prev = i;
+            i = self.next[i as usize];
+        }
+        (prev, i)
+    }
+
     /// Reads cell `(q, p)`.
     pub fn cell(&self, q: usize, p: usize) -> Cell {
         assert!(q < self.m && p < self.n, "cell ({q},{p}) out of range");
-        let t = p as u32;
-        match self.row_slots[q]
-            .iter()
-            .map(|&i| self.edges[i as usize])
-            .find(|e| e.col == t)
-        {
-            None => Cell::Empty,
-            Some(e) if e.grant => Cell::Grant,
-            Some(_) => Cell::Request,
+        match self.find(q, p as u32).1 {
+            NIL => Cell::Empty,
+            i if self.edges[i as usize].grant => Cell::Grant,
+            _ => Cell::Request,
         }
     }
 
@@ -273,44 +391,56 @@ impl SparseState {
             self.n
         );
         let (row, col) = (s as u32, t as u32);
-        let slots = &mut self.row_slots[s];
-        let found = slots
-            .iter()
-            .position(|&i| self.edges[i as usize].col == col);
-        match (found, kind) {
-            (None, Cell::Empty) => {}
-            (None, _) => {
-                let slot = u32::try_from(self.edges.len()).expect("edge count fits u32 slots");
-                slots.push(slot);
+        match (self.find(s, col), kind) {
+            ((_, NIL), Cell::Empty) => {}
+            ((_, NIL), _) => {
+                let slot = u32::try_from(self.edges.len())
+                    .ok()
+                    .filter(|&slot| slot != NIL)
+                    .expect("edge count fits u32 slots");
                 self.edges.push(Edge {
                     row,
                     col,
                     grant: kind == Cell::Grant,
                 });
+                self.next.push(self.head[s]);
+                self.head[s] = slot;
             }
-            (Some(i), Cell::Empty) => {
-                let slot = slots.swap_remove(i) as usize;
-                self.edges.swap_remove(slot);
-                // The last edge moved into the hole: repoint its slot.
-                if let Some(moved) = self.edges.get(slot) {
-                    let last = self.edges.len() as u32;
-                    let entry = self.row_slots[moved.row as usize]
-                        .iter_mut()
-                        .find(|i| **i == last)
-                        .expect("every edge has a row slot");
-                    *entry = slot as u32;
+            ((prev, i), Cell::Empty) => {
+                let after = self.next[i as usize];
+                match prev {
+                    NIL => self.head[s] = after,
+                    prev => self.next[prev as usize] = after,
+                }
+                // The last edge moves into the hole: repoint the link
+                // that held it.
+                let last = (self.edges.len() - 1) as u32;
+                self.edges.swap_remove(i as usize);
+                self.next.swap_remove(i as usize);
+                if i != last {
+                    let r = self.edges[i as usize].row as usize;
+                    if self.head[r] == last {
+                        self.head[r] = i;
+                    } else {
+                        let mut j = self.head[r];
+                        while self.next[j as usize] != last {
+                            j = self.next[j as usize];
+                        }
+                        self.next[j as usize] = i;
+                    }
                 }
             }
-            (Some(i), _) => self.edges[slots[i] as usize].grant = kind == Cell::Grant,
+            ((_, i), _) => self.edges[i as usize].grant = kind == Cell::Grant,
         }
     }
 
     /// Removes every edge in O(edges), not O(m).
     pub fn clear_all(&mut self) {
         for e in &self.edges {
-            self.row_slots[e.row as usize].clear();
+            self.head[e.row as usize] = NIL;
         }
         self.edges.clear();
+        self.next.clear();
     }
 
     /// Rebuilds from a RAG (the cold path's sparse twin).
@@ -373,63 +503,16 @@ impl SparseState {
         }
     }
 
-    /// Runs the terminal reduction on a working copy of the edge array,
-    /// leaving the state untouched. Returns the same report the dense
+    /// Runs the terminal reduction in this thread's workspace, leaving
+    /// the state untouched. Returns the same report the dense
     /// [`crate::reduction::reduce_core`] would on the equivalent matrix —
     /// same `iterations`, same `steps`, same completeness.
-    pub fn reduce(&mut self) -> ReductionReport {
-        self.ws.ensure(self.m, self.n);
-        let Workspace {
-            live,
-            gone,
-            row_cnt,
-            col_cnt,
-        } = &mut self.ws;
-        live.clone_from(&self.edges);
-        for e in live.iter() {
-            row_cnt[e.row as usize][e.grant as usize] += 1;
-            col_cnt[e.col as usize][e.grant as usize] += 1;
-        }
-        let mut iterations = 0u32;
-        let mut steps = 0u32;
-        loop {
-            steps += 1;
-            // Split on the counts as they stood at the start of the pass:
-            // an edge goes if either end is terminal in that snapshot.
-            gone.clear();
-            live.retain(|e| {
-                let goes = terminal(row_cnt[e.row as usize]) || terminal(col_cnt[e.col as usize]);
-                if goes {
-                    gone.push(*e);
-                }
-                !goes
-            });
-            if gone.is_empty() {
-                // The no-terminal pass is counted in `steps` (the DDU
-                // spends a clock raising `T_iter = 0`).
-                break;
-            }
-            iterations += 1;
-            for e in gone.iter() {
-                row_cnt[e.row as usize][e.grant as usize] -= 1;
-                col_cnt[e.col as usize][e.grant as usize] -= 1;
-            }
-        }
-        // Gone edges took their counts to zero; zero what the survivors
-        // still hold so the next probe starts clean in O(survivors).
-        for e in live.iter() {
-            row_cnt[e.row as usize] = [0; 2];
-            col_cnt[e.col as usize] = [0; 2];
-        }
-        ReductionReport {
-            iterations,
-            steps,
-            complete: live.is_empty(),
-        }
+    pub fn reduce(&self) -> ReductionReport {
+        WORKSPACE.with(|ws| ws.borrow_mut().reduce(&self.edges, self.m, self.n))
     }
 
     /// Probe: reduce and convert to a [`DetectOutcome`].
-    pub fn detect(&mut self) -> DetectOutcome {
+    pub fn detect(&self) -> DetectOutcome {
         self.reduce().into()
     }
 }
@@ -525,7 +608,7 @@ mod tests {
         for seq in 0..10u64 {
             let mut rng = Lcg::new(0xD15C ^ seq);
             let writes = 400 + rng.below(600) as usize;
-            let (mat, mut sp) = random_pair(&mut rng, 96, 80, writes);
+            let (mat, sp) = random_pair(&mut rng, 96, 80, writes);
             let mut work = mat.clone();
             let dense = terminal_reduction(&mut work);
             let sparse = sp.reduce();
@@ -537,7 +620,7 @@ mod tests {
         // A deep reduction: the peel chain R299→P299→R298→…→R0→P0 loses
         // one edge at each end per pass, 300 removing passes plus the
         // counted empty one.
-        let (mat, mut sp) = peel_pair(300, 300);
+        let (mat, sp) = peel_pair(300, 300);
         let dense = terminal_reduction(&mut mat.clone());
         let sparse = sp.reduce();
         assert_eq!(dense, sparse, "peel 300x300: reports diverged");
@@ -555,7 +638,7 @@ mod tests {
 
     #[test]
     fn empty_state_reduces_complete_in_one_counted_pass() {
-        let mut sp = SparseState::new(64, 64);
+        let sp = SparseState::new(64, 64);
         let mut mat = StateMatrix::new(64, 64);
         let dense = terminal_reduction(&mut mat);
         assert_eq!(sp.reduce(), dense);
@@ -652,13 +735,28 @@ mod tests {
     #[test]
     fn config_gates_are_deterministic_shape_functions() {
         let cfg = SparseConfig::default();
-        assert!(!cfg.covers_shape(50 * 50), "paper scale stays dense");
-        assert!(!cfg.covers_shape(512 * 512));
-        assert!(cfg.covers_shape(1024 * 1024));
-        // At 1024²: 4000 edges is within 4‰, 5000 is not.
-        assert!(cfg.prefers_sparse(1 << 20, 4000));
-        assert!(!cfg.prefers_sparse(1 << 20, 5000));
-        assert!(SparseConfig::always().prefers_sparse(1, u64::MAX));
-        assert!(!SparseConfig::disabled().prefers_sparse(usize::MAX - 1, 0));
+        assert!(!cfg.covers_shape(50, 50), "paper scale stays dense");
+        assert!(!cfg.covers_shape(16, 16), "16² sessions keep no mirror");
+        assert!(cfg.covers_shape(64, 64));
+        assert!(cfg.covers_shape(512, 512));
+        assert!(cfg.covers_shape(1024, 1024));
+        // The svcbench `detect_mix` populations: 512² at ~416 edges and
+        // 1024² at ~1,200 go sparse.
+        assert!(cfg.prefers_sparse(512, 512, 416));
+        assert!(cfg.prefers_sparse(1024, 1024, 1_200));
+        // At 1024²: 1024 rows × (16 words + 4) = 20,480 edges.
+        assert!(cfg.prefers_sparse(1024, 1024, 5_000));
+        assert!(cfg.prefers_sparse(1024, 1024, 20_480));
+        assert!(!cfg.prefers_sparse(1024, 1024, 20_481));
+        // Tall shapes are costed column-major: 64 × (64 + 4), not
+        // 4096 × (1 + 4).
+        assert!(cfg.prefers_sparse(4096, 64, 4_352));
+        assert!(!cfg.prefers_sparse(4096, 64, 4_353));
+        assert_eq!(
+            cfg.prefers_sparse(4096, 64, 4_000),
+            cfg.prefers_sparse(64, 4096, 4_000)
+        );
+        assert!(SparseConfig::always().prefers_sparse(1, 1, u64::MAX));
+        assert!(!SparseConfig::disabled().prefers_sparse(usize::MAX - 1, 1, 0));
     }
 }

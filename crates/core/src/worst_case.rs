@@ -9,7 +9,9 @@
 //!   `Θ(k)` steps.
 //! * [`exhaustive_max_steps`] enumerates *every* valid single-unit state
 //!   of a small matrix and reports the true worst case; feasible up to a
-//!   few dozen total cells (8^m states for n = 2).
+//!   few dozen total cells (8^m states for n = 2). Its odometer,
+//!   [`StateOdometer`], is public so the detection paths can be checked
+//!   against each other on every state of a small shape.
 
 use crate::matrix::StateMatrix;
 use crate::reduction::terminal_reduction;
@@ -39,72 +41,125 @@ pub fn chain_steps(k: usize) -> u32 {
     terminal_reduction(&mut m).steps
 }
 
-/// Exhaustively enumerates all valid single-unit states of an
-/// m-resources × n-processes matrix and returns the maximum reduction
-/// step count, together with the number of states visited.
+/// One row of a single-unit state: the process column holding the
+/// resource, if any, and the bit set of processes requesting it (never
+/// including the holder).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowState {
+    /// Column of the grant edge, if the resource is held.
+    pub grant: Option<usize>,
+    /// Bit `t` set ⟺ process `t` requests the resource.
+    pub requests: u32,
+}
+
+/// Odometer over every valid single-unit state of a `resources` ×
+/// `processes` matrix.
 ///
-/// A row's state is: an optional grant column plus any request subset of
-/// the remaining columns — `(n+1) · 2^(n-1)`-ish combinations per row —
-/// so keep `m·n` small (the Table 1 "2×3" entry is 512 states).
+/// Each row is one digit. It ranges over the row states: an optional
+/// grant column plus any request subset of the other columns,
+/// `(n + 2) · 2^(n-1)` of them, with the empty row first. Row 0 is the
+/// fastest digit, so most steps change row 0 alone and a carry changes
+/// rows `0..=k`; a caller that mirrors the state incrementally rewrites
+/// only those rows. The enumeration starts at the empty matrix.
+#[derive(Debug, Clone)]
+pub struct StateOdometer {
+    processes: usize,
+    configs: Vec<RowState>,
+    digits: Vec<usize>,
+}
+
+impl StateOdometer {
+    /// The odometer at the empty `resources` × `processes` state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension is zero or `processes` exceeds 16.
+    pub fn new(resources: usize, processes: usize) -> Self {
+        assert!(
+            resources > 0 && processes > 0,
+            "dimensions must be non-zero"
+        );
+        assert!(processes <= 16, "request sets are 16-bit row masks");
+        let mut configs = Vec::new();
+        for grant in std::iter::once(None).chain((0..processes).map(Some)) {
+            for requests in 0u32..(1 << processes) {
+                if grant.is_some_and(|g| requests & (1 << g) != 0) {
+                    continue; // a cell cannot be both grant and request
+                }
+                configs.push(RowState { grant, requests });
+            }
+        }
+        StateOdometer {
+            processes,
+            configs,
+            digits: vec![0; resources],
+        }
+    }
+
+    /// Number of states the odometer visits, or `None` past `u64`.
+    pub fn states(&self) -> Option<u64> {
+        (self.configs.len() as u64).checked_pow(self.digits.len() as u32)
+    }
+
+    /// The current state of row `s`.
+    pub fn row(&self, s: usize) -> RowState {
+        self.configs[self.digits[s]]
+    }
+
+    /// Steps to the next state and returns how many rows changed (rows
+    /// `0..k`), or `None` after the last state.
+    pub fn advance(&mut self) -> Option<usize> {
+        for (i, d) in self.digits.iter_mut().enumerate() {
+            *d += 1;
+            if *d < self.configs.len() {
+                return Some(i + 1);
+            }
+            *d = 0;
+        }
+        None
+    }
+
+    /// The current state as a matrix.
+    pub fn matrix(&self) -> StateMatrix {
+        let mut m = StateMatrix::new(self.digits.len(), self.processes);
+        for s in 0..self.digits.len() {
+            let RowState { grant, requests } = self.row(s);
+            if let Some(g) = grant {
+                m.set_grant(ResId(s as u16), ProcId(g as u16));
+            }
+            for t in (0..self.processes).filter(|t| requests & (1 << t) != 0) {
+                m.set_request(ProcId(t as u16), ResId(s as u16));
+            }
+        }
+        m
+    }
+}
+
+/// Exhaustively enumerates all valid single-unit states of an
+/// m-resources × n-processes matrix ([`StateOdometer`]) and returns the
+/// maximum reduction step count, together with the number of states
+/// visited.
+///
+/// Keep `m·n` small: the Table 1 "2×3" entry is 512 states.
 ///
 /// # Panics
 ///
 /// Panics if the state space exceeds `2^24` (a guard against accidental
 /// explosion, not a hardware limit).
 pub fn exhaustive_max_steps(resources: usize, processes: usize) -> (u32, u64) {
-    let n = processes;
-    // Enumerate per-row configurations once.
-    let mut row_configs: Vec<(Option<usize>, u32)> = Vec::new(); // (grant col, request bitmask)
-    for grant in 0..=n {
-        let grant_col = (grant < n).then_some(grant);
-        for mask in 0u32..(1 << n) {
-            if let Some(g) = grant_col {
-                if mask & (1 << g) != 0 {
-                    continue; // a cell cannot be both grant and request
-                }
-            }
-            row_configs.push((grant_col, mask));
-        }
-    }
-    let total = (row_configs.len() as u64).checked_pow(resources as u32);
+    let mut states = StateOdometer::new(resources, processes);
     assert!(
-        matches!(total, Some(t) if t <= 1 << 24),
+        matches!(states.states(), Some(t) if t <= 1 << 24),
         "state space too large to enumerate"
     );
-
     let mut max_steps = 0u32;
     let mut visited = 0u64;
-    let mut indices = vec![0usize; resources];
     loop {
-        // Materialize the matrix for the current index vector.
-        let mut m = StateMatrix::new(resources, processes);
-        for (s, &ci) in indices.iter().enumerate() {
-            let (grant_col, mask) = row_configs[ci];
-            if let Some(g) = grant_col {
-                m.set_grant(ResId(s as u16), ProcId(g as u16));
-            }
-            for t in 0..n {
-                if mask & (1 << t) != 0 {
-                    m.set_request(ProcId(t as u16), ResId(s as u16));
-                }
-            }
-        }
-        let steps = terminal_reduction(&mut m).steps;
+        let steps = terminal_reduction(&mut states.matrix()).steps;
         max_steps = max_steps.max(steps);
         visited += 1;
-
-        // Odometer increment.
-        let mut i = 0;
-        loop {
-            if i == resources {
-                return (max_steps, visited);
-            }
-            indices[i] += 1;
-            if indices[i] < row_configs.len() {
-                break;
-            }
-            indices[i] = 0;
-            i += 1;
+        if states.advance().is_none() {
+            return (max_steps, visited);
         }
     }
 }

@@ -6,8 +6,10 @@
 //! and deterministic stats at every thread count. These tests drive the
 //! *same* LCG-generated edge-delta streams — including deletions,
 //! probe-only stretches and streams that oscillate across the hybrid
-//! density threshold — through forced-dense, forced-sparse and hybrid
-//! engines, checking every probe against [`pdda::detect_cold`].
+//! edge threshold — through forced-dense, forced-sparse and hybrid
+//! engines, checking every probe against [`pdda::detect_cold`]. Sparse
+//! probes of different shapes interleave on shared threads, which checks
+//! the per-thread reduction workspace.
 //!
 //! `DELTAOS_TEST_THREADS=k` pins the sweep to one thread count (the CI
 //! matrix runs k ∈ {1, 2, 8}); unset, all of 1–8 are tested.
@@ -155,14 +157,15 @@ fn probe_only_batches_hit_both_caches_identically() {
 
 #[test]
 fn streams_oscillating_across_the_threshold_match_cold() {
-    // Hybrid config on a 64×64 engine: ≤100 live edges goes sparse
-    // (100 * 1000 / 4096 ≈ 24.4‰), above goes dense. The stream pumps
-    // the edge count up past the threshold and back down repeatedly, so
-    // the dispatcher flips paths mid-session — every crossing must be
-    // seamless (same outcomes, same cache behaviour).
+    // Hybrid config on a 64×64 engine: ≤98 live edges goes sparse
+    // (98,000 ≤ 307 × the 320 word visits of 64² dense work, i.e. 24‰
+    // of the area), above goes dense. The stream pumps the edge count up
+    // past the threshold and back down repeatedly, so the dispatcher
+    // flips paths mid-session — every crossing must be seamless (same
+    // outcomes, same cache behaviour).
     let cfg = SparseConfig {
         min_area: 1,
-        max_density_permille: 24,
+        edges_per_kilo_work: 307,
     };
     for t in thread_counts() {
         let pool = Arc::new(WorkerPool::new(t));
@@ -227,9 +230,11 @@ fn hybrid_stats_are_identical_across_thread_counts() {
     let script = |t: usize| -> (Vec<DetectOutcome>, EngineStats) {
         let pool = Arc::new(WorkerPool::new(t));
         let mut engine = DetectEngine::with_parallel(128, 128, Some(pool), forced_par(t));
+        // ≤196 live edges go sparse: 256 × the 768 word visits of 128²
+        // dense work, 12‰ of the area.
         engine.set_sparse(SparseConfig {
             min_area: 1,
-            max_density_permille: 12,
+            edges_per_kilo_work: 256,
         });
         let mut rng = Lcg::new(0x7EAD5);
         let mut rag = Rag::new(128, 128);
@@ -270,4 +275,100 @@ fn snapshot_shaped_restore_keeps_the_hybrid_split() {
     assert_eq!(restored.stats().sparse_reductions, 1);
     assert_eq!(restored.stats().dense_reductions, 0);
     assert_eq!(restored.stats().live_edges, 2);
+}
+
+/// Random edges until `rag` holds `target` of them.
+fn populate(rng: &mut Lcg, rag: &mut Rag, target: usize) {
+    let (m, n) = (rag.resources() as u64, rag.processes() as u64);
+    while rag.edge_count() < target {
+        random_op(rng, rag, m, n);
+    }
+}
+
+#[test]
+fn interleaved_shapes_share_one_workspace_per_thread() {
+    // Every sparse probe on a thread reduces in that thread's one
+    // workspace, whose counts must be zero between probes. Probing
+    // engines of different shapes in turn (a large random graph, a
+    // smaller one, a 300-pass chain, an empty engine, a 2×2 cycle) makes
+    // any count a probe leaves behind corrupt the next probe of another
+    // shape; two threads run the script at once.
+    let script = || -> Vec<DetectOutcome> {
+        let mut rng = Lcg::new(0x5A4ED);
+        let mut big = Rag::new(1024, 1024);
+        populate(&mut rng, &mut big, 1_200);
+        let mut mid = Rag::new(512, 512);
+        populate(&mut rng, &mut mid, 416);
+        let mut chain = Rag::new(300, 300);
+        for s in 0..300u16 {
+            chain.add_grant(ResId(s), ProcId(s)).unwrap();
+            if s + 1 < 300 {
+                chain.add_request(ProcId(s + 1), ResId(s)).unwrap();
+            }
+        }
+        let empty = Rag::new(64, 64);
+        let mut cycle = Rag::new(2, 2);
+        cycle.add_grant(ResId(0), ProcId(0)).unwrap();
+        cycle.add_grant(ResId(1), ProcId(1)).unwrap();
+        cycle.add_request(ProcId(0), ResId(1)).unwrap();
+        let mut engines: Vec<DetectEngine> =
+            [(1024, 1024), (512, 512), (300, 300), (64, 64), (2, 2)]
+                .into_iter()
+                .map(|(m, n)| {
+                    let mut e = DetectEngine::new(m, n);
+                    e.set_sparse(SparseConfig::always());
+                    e
+                })
+                .collect();
+        let mut outcomes = Vec::new();
+        for round in 0..8 {
+            for _ in 0..6 {
+                random_op(&mut rng, &mut big, 1024, 1024);
+                random_op(&mut rng, &mut mid, 512, 512);
+            }
+            // An order-respecting wait keeps the chain 300 passes deep;
+            // the cycle opens and closes every round.
+            if round % 2 == 0 {
+                chain.add_request(ProcId(299), ResId(0)).unwrap();
+                cycle.add_request(ProcId(1), ResId(0)).unwrap();
+            } else {
+                assert!(chain.remove_request(ProcId(299), ResId(0)));
+                assert!(cycle.remove_request(ProcId(1), ResId(0)));
+            }
+            for (engine, rag) in engines.iter_mut().zip([&big, &mid, &chain, &empty, &cycle]) {
+                let got = engine.probe(rag);
+                assert_eq!(
+                    got,
+                    pdda::detect_cold(rag),
+                    "round {round}: {}x{} probe diverged from the cold path",
+                    rag.resources(),
+                    rag.processes()
+                );
+                outcomes.push(got);
+            }
+        }
+        for engine in &engines {
+            assert_eq!(engine.stats().dense_reductions, 0);
+        }
+        outcomes
+    };
+    let barrier = std::sync::Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let run = || {
+            barrier.wait();
+            script()
+        };
+        let a = s.spawn(run);
+        let b = s.spawn(run);
+        (
+            a.join().expect("first script thread"),
+            b.join().expect("second script thread"),
+        )
+    });
+    assert_eq!(a, b, "the two threads diverged");
+    assert!(a.iter().any(|o| o.deadlock) && a.iter().any(|o| !o.deadlock));
+    assert!(
+        a.iter().any(|o| o.iterations >= 300),
+        "the chain must reduce deep"
+    );
 }
