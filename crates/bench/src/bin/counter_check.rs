@@ -17,7 +17,12 @@
 //! field of its `per_layer` entry in `BENCHMARK.json` — by more than
 //! the baseline's relative tolerance for it. A count that moves the
 //! better way past its tolerance passes, with a note to update the
-//! baseline. A run that is not `correct` fails too.
+//! baseline. A share — a metric whose unit there is `ratio`, such as
+//! the engine's dense share — fails on a move past its tolerance in
+//! either direction: a share that drifts says the workload now takes
+//! another path, whichever way its `better` points, and a zero
+//! baseline must stay exactly zero. A run that is not `correct` fails
+//! too.
 //!
 //! The run is shorter than one pass, so each half of the traced run
 //! replays the workload's trace exactly once. Longer runs repeat whole
@@ -44,6 +49,8 @@ const RUN_ARGS: [&str; 6] = ["--seed", "11", "--seconds", "0.001", "--trace", "1
 enum Better {
     Lower,
     Higher,
+    /// A share: any move past tolerance is drift.
+    Unchanged,
 }
 
 #[derive(Debug, PartialEq)]
@@ -60,6 +67,7 @@ fn judge(better: Better, base: f64, tolerance: f64, got: f64) -> Verdict {
     let worse_by = match better {
         Better::Lower => got - base,
         Better::Higher => base - got,
+        Better::Unchanged => (got - base).abs(),
     };
     if worse_by > slack {
         Verdict::Regressed
@@ -265,7 +273,8 @@ fn read_json(path: &str) -> Result<Json, String> {
     parse_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// The `better` direction `BENCHMARK.json` gives a per-layer metric.
+/// The direction `BENCHMARK.json` gives a per-layer metric: its
+/// `better` field, or [`Better::Unchanged`] for a share (unit `ratio`).
 fn direction(bench: &Json, metric: &str) -> Result<Better, String> {
     let entry = bench
         .get("per_layer")
@@ -273,6 +282,9 @@ fn direction(bench: &Json, metric: &str) -> Result<Better, String> {
         .iter()
         .find(|m| m.get("name").and_then(Json::str) == Some(metric))
         .ok_or_else(|| format!("BENCHMARK.json has no per-layer metric {metric}"))?;
+    if entry.get("unit").and_then(Json::str) == Some("ratio") {
+        return Ok(Better::Unchanged);
+    }
     match entry.get("better").and_then(Json::str) {
         Some("lower") => Ok(Better::Lower),
         Some("higher") => Ok(Better::Higher),
@@ -382,6 +394,25 @@ mod tests {
         // A zero baseline allows no rise at all.
         assert_eq!(judge(Better::Lower, 0.0, 0.5, 0.0), Held);
         assert_eq!(judge(Better::Lower, 0.0, 0.5, 1e-9), Regressed);
+    }
+
+    #[test]
+    fn judge_fails_a_share_that_moves_either_way() {
+        use Verdict::*;
+        assert_eq!(judge(Better::Unchanged, 0.0, 0.001, 0.0), Held);
+        assert_eq!(judge(Better::Unchanged, 0.0, 0.001, 0.01), Regressed);
+        assert_eq!(judge(Better::Unchanged, 1.0, 0.001, 0.99), Regressed);
+        assert_eq!(judge(Better::Unchanged, 1.0, 0.001, 1.0005), Held);
+        assert_eq!(judge(Better::Unchanged, 0.5, 0.01, 0.51), Regressed);
+    }
+
+    #[test]
+    fn shares_are_judged_two_sided() {
+        let bench = read_json(&format!("{ROOT}/BENCHMARK.json")).unwrap();
+        for share in ["engine.dense_share", "engine.cache_hit_ratio"] {
+            assert_eq!(direction(&bench, share), Ok(Better::Unchanged), "{share}");
+        }
+        assert_eq!(direction(&bench, "alloc.per_op"), Ok(Better::Lower));
     }
 
     #[test]

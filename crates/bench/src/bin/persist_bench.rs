@@ -1,18 +1,21 @@
 //! Durability cost and recovery speed of the `deltaos-store` subsystem.
 //!
-//! Three questions, answered against the same multi-client drive the
-//! service stress bench uses:
+//! Three questions, answered against one multi-client drive that keeps
+//! a window of batches in flight per client thread:
 //!
 //! 1. **What does the WAL cost?** Aggregate throughput with durability
-//!    off versus on under each [`FsyncPolicy`] (`Os`, group-commit
-//!    `EveryN(32)`, `Always`), driven through the runtime's in-process
-//!    [`Client`](deltaos_service::Client). The acceptance gate requires
-//!    group commit to keep ≥ 50% of the WAL-off throughput — armed only
-//!    on hosts with ≥ 4 CPUs (below that the ratio is recorded but not
+//!    off (`wal_off`), under [`FsyncPolicy::Os`] (`wal_os`) and under
+//!    the service's default, [`DurabilityConfig::new`]'s pipelined group
+//!    commit (`pipelined`), driven through the runtime's in-process
+//!    [`Client`](deltaos_service::Client). Two acceptance gates: the
+//!    pipeline must group — at most one fsync per four commits, on every
+//!    host — and keep ≥ 50% of the WAL-off throughput, armed only on
+//!    hosts with ≥ 4 CPUs (below that the ratio is recorded but not
 //!    enforced, since client threads and core loops fight for cores).
 //! 2. **How fast is recovery?** Cold-start time and replayed-record
-//!    counts for the same workload at different checkpoint intervals —
-//!    from "pure WAL replay" down to tight compaction.
+//!    counts for the same workload under the default policy at
+//!    different checkpoint intervals — from "pure WAL replay" down to
+//!    tight compaction.
 //! 3. **Is recovery exact?** Every restart is checked bit-identical:
 //!    the recovered service's deterministic counters must equal the
 //!    final counters the live run reported at shutdown.
@@ -21,7 +24,7 @@
 //! `--smoke` runs a miniature (debug builds allowed, no JSON, no gate).
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{CoreConfig, CoreRuntime, DurabilityConfig, Event, FsyncPolicy};
@@ -56,7 +59,7 @@ const SMOKE: Drive = Drive {
 };
 
 /// The counters a deterministic replay must reproduce exactly
-/// (timing-dependent ones — queue depth, store I/O tallies — excluded).
+/// (timing-dependent ones — the store I/O tallies — excluded).
 const DETERMINISTIC_KEYS: &[&str] = &[
     "service.events",
     "service.batches",
@@ -94,7 +97,7 @@ fn random_event(rng: &mut StdRng, dims: u16) -> Event {
 /// work — the group-commit scheduler needs in-flight depth to batch
 /// fsyncs (a strictly blocking client would degenerate to one flush per
 /// op). Returns wall seconds.
-fn drive_clients_pipelined(service: &CoreRuntime, drive: &Drive) -> f64 {
+fn drive_clients(service: &CoreRuntime, drive: &Drive) -> f64 {
     assert_eq!(drive.sessions % drive.clients, 0);
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -139,42 +142,13 @@ fn drive_clients_pipelined(service: &CoreRuntime, drive: &Drive) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Drives the workload through `clients` threads; returns wall seconds.
-fn drive_clients(service: &CoreRuntime, drive: &Drive) -> f64 {
-    assert_eq!(drive.sessions % drive.clients, 0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..drive.clients {
-            let client = service.client();
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0x9E85 ^ t as u64);
-                let per_thread = drive.sessions / drive.clients;
-                let sids: Vec<_> = (0..per_thread)
-                    .map(|_| client.open(drive.dims, drive.dims).expect("open session"))
-                    .collect();
-                for _ in 0..drive.rounds {
-                    for &sid in &sids {
-                        let batch: Vec<Event> = (0..drive.edits_per_round)
-                            .map(|_| random_event(&mut rng, drive.dims))
-                            .collect();
-                        if let Err(e) = client.batch(sid, batch) {
-                            panic!("batch failed: {e}");
-                        }
-                    }
-                }
-            });
-        }
-    });
-    start.elapsed().as_secs_f64()
-}
-
 struct RunOut {
     events: u64,
     elapsed_secs: f64,
     wal_records: u64,
     commits: u64,
     fsyncs: u64,
-    /// Group-commit scheduler tallies (zero outside `Pipelined` runs):
+    /// Group-commit scheduler tallies (zero outside the pipelined run):
     /// flush count / largest flush, peak withheld-reply depth, and the
     /// worst per-shard commit-latency percentiles in microseconds.
     pipeline_batches: u64,
@@ -196,13 +170,9 @@ fn start(config: CoreConfig) -> CoreRuntime {
     CoreRuntime::bind("127.0.0.1:0", config).expect("bind runtime")
 }
 
-fn run(config: CoreConfig, drive: &Drive, pipelined: bool) -> RunOut {
+fn run(config: CoreConfig, drive: &Drive) -> RunOut {
     let service = start(config);
-    let elapsed_secs = if pipelined {
-        drive_clients_pipelined(&service, drive)
-    } else {
-        drive_clients(&service, drive)
-    };
+    let elapsed_secs = drive_clients(&service, drive);
     let per_shard = service.stop();
     let mut events = 0;
     let mut wal_records = 0;
@@ -251,18 +221,19 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// [`DurabilityConfig::new`] under `fsync`, checkpointing every
+/// `ckpt_every` records.
 fn durable_config(drive: &Drive, dir: &Path, fsync: FsyncPolicy, ckpt_every: u64) -> CoreConfig {
     CoreConfig {
         loops: drive.shards,
         shards: drive.shards,
         durability: Some(DurabilityConfig {
-            dir: dir.to_path_buf(),
             fsync,
             checkpoint_every_records: ckpt_every,
             // Keep the WAL at shutdown so the recovery measurement
             // actually replays it.
             checkpoint_on_shutdown: false,
-            repl_ack: false,
+            ..DurabilityConfig::new(dir)
         }),
         ..CoreConfig::default()
     }
@@ -303,22 +274,6 @@ struct PolicyRow {
     out: RunOut,
 }
 
-fn policy_label(p: FsyncPolicy) -> &'static str {
-    match p {
-        FsyncPolicy::Os => "wal_os",
-        FsyncPolicy::EveryN(_) => "wal_group32",
-        FsyncPolicy::Always => "wal_always",
-        FsyncPolicy::Pipelined { .. } => "pipelined",
-    }
-}
-
-/// The tentpole configuration: appends decoupled from fsync, replies
-/// withheld until durable, flushes grouped by the per-core scheduler.
-const PIPELINED: FsyncPolicy = FsyncPolicy::Pipelined {
-    max_records: 32,
-    deadline: Duration::from_micros(500),
-};
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let drive = if smoke { &SMOKE } else { &FULL };
@@ -330,6 +285,11 @@ fn main() {
 
     println!("=== persist_bench: WAL cost + snapshot/restore recovery ===");
 
+    // The default the service ships: appends decoupled from fsync,
+    // replies withheld until durable, flushes grouped by the per-core
+    // scheduler.
+    let default_fsync = DurabilityConfig::new("").fsync;
+
     // --- 1. Throughput: WAL off, then each fsync policy. -------------
     let baseline = run(
         CoreConfig {
@@ -338,7 +298,6 @@ fn main() {
             ..CoreConfig::default()
         },
         drive,
-        false,
     );
     println!(
         "wal_off: {} events in {:.3}s -> {:.0} events/sec",
@@ -348,20 +307,9 @@ fn main() {
     );
 
     let mut rows: Vec<PolicyRow> = Vec::new();
-    for policy in [
-        FsyncPolicy::Os,
-        FsyncPolicy::EveryN(32),
-        FsyncPolicy::Always,
-        PIPELINED,
-    ] {
-        let label = policy_label(policy);
-        let pipelined = matches!(policy, FsyncPolicy::Pipelined { .. });
+    for (label, policy) in [("wal_os", FsyncPolicy::Os), ("pipelined", default_fsync)] {
         let dir = fresh_dir(label);
-        let out = run(
-            durable_config(drive, &dir, policy, u64::MAX),
-            drive,
-            pipelined,
-        );
+        let out = run(durable_config(drive, &dir, policy, u64::MAX), drive);
         println!(
             "{label}: {} events in {:.3}s -> {:.0} events/sec ({} records, {} commits, {} fsyncs)",
             out.events,
@@ -371,7 +319,7 @@ fn main() {
             out.commits,
             out.fsyncs
         );
-        if pipelined {
+        if out.pipeline_batches > 0 {
             println!(
                 "  pipeline: {} flushes (max {} records), withheld peak {}, \
                  commit latency p50 {}us p99 {}us",
@@ -411,15 +359,8 @@ fn main() {
             format!("ckpt-{every}")
         };
         let dir = fresh_dir(&tag);
-        let out = run(
-            durable_config(drive, &dir, FsyncPolicy::EveryN(32), every),
-            drive,
-            false,
-        );
-        let rec = restart_and_verify(
-            durable_config(drive, &dir, FsyncPolicy::EveryN(32), every),
-            &out,
-        );
+        let out = run(durable_config(drive, &dir, default_fsync, every), drive);
+        let rec = restart_and_verify(durable_config(drive, &dir, default_fsync, every), &out);
         println!(
             "{tag}: replayed {} of {} records, {} sessions, recovery {:.4}s (bit-identical)",
             rec.replayed_records, out.wal_records, rec.recovered_sessions, rec.recovery_secs
@@ -433,45 +374,29 @@ fn main() {
     }
 
     // --- 3. Acceptance. ----------------------------------------------
-    let group = rows
-        .iter()
-        .find(|r| r.mode == "wal_group32")
-        .expect("group-commit row");
     let pipe = rows
         .iter()
         .find(|r| r.mode == "pipelined")
         .expect("pipelined row");
-    let ratio = group.out.events_per_sec() / baseline.events_per_sec();
     let pipe_ratio = pipe.out.events_per_sec() / baseline.events_per_sec();
-    let pipe_vs_group = pipe.out.events_per_sec() / group.out.events_per_sec();
     let host_cpus = deltaos_core::par::host_cpus();
     let armed = host_cpus >= 4;
     // The withheld-reply scheduler must actually group: far fewer
     // fsyncs than logical commits, on every host.
     let grouped = pipe.out.fsyncs * 4 <= pipe.out.commits.max(1);
-    let pass = grouped && pipe_vs_group >= 1.0 && (!armed || (ratio >= 0.5 && pipe_ratio >= 0.5));
+    let pass = grouped && (!armed || pipe_ratio >= 0.5);
     println!(
-        "group-commit throughput ratio {ratio:.3} (gate: >= 0.5, {} on {host_cpus} CPUs)",
-        if armed { "armed" } else { "recorded only" }
-    );
-    println!(
-        "pipelined throughput ratio {pipe_ratio:.3} vs off ({} on {host_cpus} CPUs), \
-         {pipe_vs_group:.3} vs group32 (gate: >= 1.0 everywhere), \
-         {} fsyncs / {} commits",
-        if armed {
-            "gate >= 0.5 armed"
-        } else {
-            "recorded only"
-        },
+        "pipelined: {} fsyncs / {} commits (gate: fsyncs x 4 <= commits everywhere); \
+         throughput ratio {pipe_ratio:.3} vs off (gate: >= 0.5, {} on {host_cpus} CPUs)",
         pipe.out.fsyncs,
-        pipe.out.commits
+        pipe.out.commits,
+        if armed { "armed" } else { "recorded only" }
     );
 
     if smoke {
         // The miniature drive is too shallow for meaningful grouping
-        // (and the gate never arms in smoke); presence checks only.
-        assert!(baseline.events > 0 && group.out.wal_records > 0);
-        assert!(pipe.out.wal_records > 0);
+        // (and the ratio gate never arms in smoke); presence checks only.
+        assert!(baseline.events > 0 && pipe.out.wal_records > 0);
         println!("smoke ok");
         return;
     }
@@ -534,8 +459,8 @@ fn main() {
             "\"dims\": {}, \"rounds\": {}, \"edits_per_round\": {}}},\n",
             "  \"throughput\": [\n{}\n  ],\n",
             "  \"recovery\": [\n{}\n  ],\n",
-            "  \"acceptance\": {{\"ratio_group32_vs_off\": {:.3}, \"ratio_pipelined_vs_off\": {:.3}, ",
-            "\"ratio_pipelined_vs_group32\": {:.3}, \"required_ratio\": 0.5, ",
+            "  \"acceptance\": {{\"fsyncs\": {}, \"commits\": {}, \"grouped\": {}, ",
+            "\"ratio_pipelined_vs_off\": {:.3}, \"required_ratio\": 0.5, ",
             "\"gate_requires_cpus\": 4, \"host_cpus\": {}, \"armed\": {}, \"pass\": {}}}\n",
             "}}\n"
         ),
@@ -547,9 +472,10 @@ fn main() {
         drive.edits_per_round,
         throughput_rows.join(",\n"),
         recovery_rows.join(",\n"),
-        ratio,
+        pipe.out.fsyncs,
+        pipe.out.commits,
+        grouped,
         pipe_ratio,
-        pipe_vs_group,
         host_cpus,
         armed,
         pass
@@ -559,8 +485,8 @@ fn main() {
     println!("wrote {path}");
     assert!(
         pass,
-        "acceptance failed: group32 ratio {ratio:.3} / pipelined ratio {pipe_ratio:.3} \
-         (floor 0.5 where armed), pipelined vs group32 {pipe_vs_group:.3} (floor 1.0), \
-         grouped={grouped}"
+        "acceptance failed: grouped={grouped} ({} fsyncs / {} commits), \
+         pipelined ratio {pipe_ratio:.3} (floor 0.5 where armed)",
+        pipe.out.fsyncs, pipe.out.commits
     );
 }

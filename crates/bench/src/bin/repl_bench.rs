@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 use deltaos_cluster::{ClusterClient, ClusterConfig};
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{
-    CoreConfig, CoreRuntime, DurabilityConfig, Event, FsyncPolicy, ReplicaTailer, Response,
-    SessionId, TailerConfig,
+    CoreConfig, CoreRuntime, DurabilityConfig, Event, ReplicaTailer, Response, SessionId,
+    TailerConfig,
 };
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -92,11 +92,9 @@ fn tmp(name: &str) -> PathBuf {
 
 fn durable(dir: &Path) -> DurabilityConfig {
     DurabilityConfig {
-        dir: dir.to_path_buf(),
-        fsync: FsyncPolicy::EveryN(8),
         checkpoint_every_records: 1_000_000,
         checkpoint_on_shutdown: false,
-        repl_ack: false,
+        ..DurabilityConfig::new(dir)
     }
 }
 

@@ -44,7 +44,10 @@ fn durable_node(dir: &Path, replica: bool) -> (CoreRuntime, SocketAddr) {
         replica,
         durability: Some(DurabilityConfig {
             dir: dir.to_path_buf(),
-            fsync: FsyncPolicy::Always,
+            fsync: FsyncPolicy::Pipelined {
+                max_records: 1,
+                deadline: Duration::from_micros(500),
+            },
             checkpoint_every_records: 10_000,
             checkpoint_on_shutdown: false,
             repl_ack: false,

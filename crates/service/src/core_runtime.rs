@@ -836,7 +836,6 @@ fn stats_rows(per_shard: &[Stats]) -> Vec<ShardStats> {
             events: s.counter("service.events"),
             probes: s.counter("service.probes"),
             cache_hits: s.counter("service.cache_hits"),
-            max_queue_depth: s.counter("service.queue_depth_max"),
             dense_reductions: s.counter("service.dense_reductions"),
             sparse_reductions: s.counter("service.sparse_reductions"),
             live_edges: s.counter("service.live_edges"),

@@ -3,12 +3,12 @@
 //! With a [`DurabilityConfig`] set on the runtime's `CoreConfig`, every
 //! shard owns a [`ShardStore`]: state-mutating jobs (`Open`/`Batch`/`Close`/
 //! `Restore` and the broker commands) are appended to the shard's WAL
-//! and committed **before**
-//! they are applied or replied to — write-ahead in the literal sense, so
-//! anything a client saw acknowledged is re-creatable. On startup the
-//! owning loop loads the shard's latest checkpoint, replays the surviving WAL suffix
-//! through the exact same [`Session::apply_batch`] path the live service
-//! uses, and then serves — which is why recovered sessions are
+//! and committed **before** they are applied or replied to —
+//! write-ahead in the literal sense, so anything a client saw
+//! acknowledged is re-creatable. On startup the owning loop loads the
+//! shard's latest checkpoint, replays the surviving WAL suffix through
+//! [`apply_wal_op`], whose helpers are the ones the live ops apply
+//! through, and then serves — which is why recovered sessions are
 //! *bit-identical* to an uninterrupted run: same code, same order, same
 //! counters.
 //!
@@ -26,13 +26,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use deltaos_core::par::{ParConfig, WorkerPool};
+use deltaos_core::{ProcId, ResId};
 use deltaos_store::wal::WalEvent;
 use deltaos_store::{
-    BrokerWalOp, FsyncPolicy, SessionSnapshot, ShardCheckpoint, ShardCounters, ShardStore, WalOp,
+    BrokerWalOp, FsyncPolicy, SessionSnapshot, ShardCheckpoint, ShardCounters, ShardStore,
+    StoreError, WalOp,
 };
 
 use crate::broker::Broker;
-use crate::proto::Event;
+use crate::proto::{Event, EventResult, Response};
 use crate::session::Session;
 
 /// Durability settings carried in the runtime's `CoreConfig`. Absent
@@ -65,13 +67,18 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Durability rooted at `dir` with the balanced defaults: group
-    /// commit every 32 commits, checkpoint every 4096 records, final
-    /// checkpoint on shutdown, no follower-ack gating.
+    /// Durability rooted at `dir` with the balanced defaults: pipelined
+    /// group commit (a flush at 32 unsynced records or 500 µs after the
+    /// oldest withheld reply, so a mutation is acknowledged only once it
+    /// is fsynced), checkpoint every 4096 records, final checkpoint on
+    /// shutdown, no follower-ack gating.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
-            fsync: FsyncPolicy::EveryN(32),
+            fsync: FsyncPolicy::Pipelined {
+                max_records: 32,
+                deadline: std::time::Duration::from_micros(500),
+            },
             checkpoint_every_records: 4096,
             checkpoint_on_shutdown: true,
             repl_ack: false,
@@ -164,37 +171,30 @@ impl ShardPersist {
         self.store.durable_seq()
     }
 
-    /// The pipelined group-commit parameters, when that policy is
-    /// configured (`None` under every self-syncing policy).
+    /// The pipelined group-commit parameters (`None` under
+    /// [`FsyncPolicy::Os`], which never fsyncs).
     pub fn pipeline(&self) -> Option<(u32, std::time::Duration)> {
         match self.store.policy() {
             FsyncPolicy::Pipelined {
                 max_records,
                 deadline,
             } => Some((max_records, deadline)),
-            _ => None,
+            FsyncPolicy::Os => None,
         }
     }
 
     /// Writes a checkpoint if `checkpoint_every` records accumulated
     /// since the last one (`force` skips the threshold — shutdown path).
     /// Returns whether it wrote one.
-    pub fn maybe_checkpoint(
-        &mut self,
-        shard: usize,
-        counters: ShardCounters,
-        next_session: u64,
-        sessions: &HashMap<u64, Session>,
-        brokers: &HashMap<u64, Broker>,
-        force: bool,
-    ) -> bool {
+    pub fn maybe_checkpoint(&mut self, shard: usize, state: &ShardState, force: bool) -> bool {
         if !force && self.store.records_since_checkpoint() < self.checkpoint_every {
             return false;
         }
-        let mut snaps: Vec<SessionSnapshot> = sessions
+        let mut snaps: Vec<SessionSnapshot> = state
+            .sessions
             .iter()
             .map(|(&id, sess)| sess.snapshot(id))
-            .chain(brokers.iter().map(|(&id, b)| b.snapshot(id)))
+            .chain(state.brokers.iter().map(|(&id, b)| b.snapshot(id)))
             .collect();
         // HashMap iteration order is arbitrary; checkpoint bytes should
         // not be.
@@ -202,9 +202,9 @@ impl ShardPersist {
         let ckpt = ShardCheckpoint {
             shard: shard as u32,
             last_seq: 0, // overwritten by ShardStore::checkpoint
-            next_session,
+            next_session: state.next_session,
             epoch: 0, // overwritten by ShardStore::checkpoint
-            counters,
+            counters: state.counters,
             sessions: snaps,
         };
         self.store
@@ -215,13 +215,10 @@ impl ShardPersist {
 }
 
 /// Result of [`open_shard`]: the persistence handle plus the recovered
-/// session table and counter state the shard starts from.
+/// state the shard starts from.
 pub(crate) struct RecoveredShard {
     pub persist: ShardPersist,
-    pub sessions: HashMap<u64, Session>,
-    pub brokers: HashMap<u64, Broker>,
-    pub counters: ShardCounters,
-    pub next_session: u64,
+    pub state: ShardState,
     /// The replayed WAL suffix as `(seq, epoch, encoded op)` — seeds the
     /// shard's replication buffer so a follower can resume tailing from
     /// any record the checkpoint has not yet swallowed.
@@ -231,31 +228,128 @@ pub(crate) struct RecoveredShard {
 /// Engine-construction context threaded through WAL apply: the shard's
 /// shared reduction pool and its parallelism gate, which travel
 /// together into every `Session`/`Broker` (re)construction.
-#[derive(Clone, Copy)]
-pub(crate) struct EngineCtx<'a> {
-    pub pool: &'a Option<Arc<WorkerPool>>,
+pub(crate) struct EngineCtx {
+    pub pool: Option<Arc<WorkerPool>>,
     pub par: ParConfig,
 }
 
-/// Applies one WAL op to a shard's session/broker tables — the single
-/// ingestion path shared by crash recovery ([`open_shard`]) and live
-/// replica apply ([`crate::shard::ShardCore`]), which is why a follower
-/// ends up *bit-identical* to the primary: same code, same order, same
-/// counters.
+/// Everything the WAL reproduces about one shard: its session and
+/// broker tables, its counters and its session-id floor. Live ops and
+/// [`apply_wal_op`] change it only through the helpers below, which is
+/// why recovery and replica apply are a replay of the live code.
+#[derive(Default)]
+pub(crate) struct ShardState {
+    pub sessions: HashMap<u64, Session>,
+    pub brokers: HashMap<u64, Broker>,
+    pub counters: ShardCounters,
+    /// Lowest session id this shard has never used.
+    pub next_session: u64,
+}
+
+impl ShardState {
+    /// Sessions and brokers open on the shard.
+    pub fn live(&self) -> usize {
+        self.sessions.len() + self.brokers.len()
+    }
+
+    /// Counts a newly opened session `id`.
+    fn opened(&mut self, id: u64) {
+        self.counters.sessions_opened += 1;
+        self.next_session = self.next_session.max(id + 1);
+    }
+
+    /// Rebuilds the session `snap` holds under `snap.session` — a broker
+    /// when the snapshot has a broker section, so the blob decides the
+    /// kind — and counts the open unless `counted` already did (a
+    /// checkpoint's counters count their sessions).
+    pub fn restore(
+        &mut self,
+        snap: &SessionSnapshot,
+        engine: &EngineCtx,
+        counted: bool,
+    ) -> Result<(), StoreError> {
+        if snap.broker.is_some() {
+            let b = Broker::restore_from(snap, engine.pool.clone(), engine.par)?;
+            self.brokers.insert(snap.session, b);
+        } else {
+            let sess = Session::restore_from(snap, engine.pool.clone(), engine.par)?;
+            self.sessions.insert(snap.session, sess);
+        }
+        if !counted {
+            self.opened(snap.session);
+        }
+        Ok(())
+    }
+
+    /// Removes session `id`, folding its engine (and broker) counters
+    /// into the shard's retired totals so they survive the teardown.
+    fn retire(&mut self, id: u64) {
+        let c = &mut self.counters;
+        let es = if let Some(sess) = self.sessions.remove(&id) {
+            sess.engine_stats()
+        } else if let Some(b) = self.brokers.remove(&id) {
+            let bc = b.counters();
+            c.retired_broker_grants += bc.grants;
+            c.retired_broker_deferrals += bc.deferrals;
+            c.retired_broker_give_ups += bc.give_ups;
+            c.retired_broker_livelocks += b.livelock_events();
+            b.engine_stats()
+        } else {
+            return;
+        };
+        c.retired_cache_hits += es.cache_hits;
+        c.retired_reductions += es.reductions;
+        c.retired_dense_reductions += es.dense_reductions;
+        c.retired_sparse_reductions += es.sparse_reductions;
+        c.sessions_closed += 1;
+    }
+}
+
+/// Applies one batch to `sess` and counts it into `counters` — the one
+/// batch path of live serving and WAL apply.
+pub(crate) fn apply_batch(
+    counters: &mut ShardCounters,
+    sess: &mut Session,
+    events: &[Event],
+) -> Vec<EventResult> {
+    let mut results = Vec::new();
+    let tally = sess.apply_batch(events, &mut results);
+    counters.batches += 1;
+    counters.events += tally.events;
+    counters.probes += tally.probes;
+    counters.rejected += tally.rejected;
+    results
+}
+
+/// Runs one broker command other than `Open`, returning the decision
+/// and the waiting edges it granted — the one broker path of live
+/// serving and WAL apply. Broker commands are logged, not their
+/// decisions: replaying the command against identical state re-derives
+/// the identical decision (rejections included), and the broker's own
+/// grant/deferral/give-up counters advance exactly as they did live.
+pub(crate) fn broker_step(b: &mut Broker, op: &BrokerWalOp) -> (Response, Vec<(ProcId, ResId)>) {
+    match *op {
+        BrokerWalOp::Open { .. } => unreachable!("a broker open installs, it does not step"),
+        BrokerWalOp::SetPriority { p, priority } => (b.set_priority(p, priority), Vec::new()),
+        BrokerWalOp::Acquire { p, q } => b.acquire(p, q),
+        BrokerWalOp::Release { p, q } => b.release(p, q),
+        BrokerWalOp::GiveUpAck { p } => b.give_up_ack(p),
+    }
+}
+
+/// Applies one WAL op to a shard's state — the path live `open`,
+/// `open_avoid` and `close` take after logging, and the one crash
+/// recovery ([`open_shard`]) and replica apply
+/// ([`crate::shard::ShardCore`]) replay, which is why a follower ends
+/// up *bit-identical* to the primary: same code, same order, same
+/// counters. Woken waiters need no replay — a grant is broker state,
+/// and the reply slots died with the connections.
 ///
 /// # Panics
 ///
 /// Panics on an op referencing an unknown session or an undecodable
 /// embedded snapshot — a forged or desynced log, fail-stop either way.
-pub(crate) fn apply_wal_op(
-    shard: usize,
-    op: &WalOp,
-    sessions: &mut HashMap<u64, Session>,
-    brokers: &mut HashMap<u64, Broker>,
-    counters: &mut ShardCounters,
-    next_session: &mut u64,
-    engine: EngineCtx<'_>,
-) {
+pub(crate) fn apply_wal_op(shard: usize, op: &WalOp, state: &mut ShardState, engine: &EngineCtx) {
     let EngineCtx { pool, par } = engine;
     match op {
         WalOp::Open {
@@ -263,109 +357,50 @@ pub(crate) fn apply_wal_op(
             resources,
             processes,
         } => {
-            sessions.insert(
-                *session,
-                Session::with_parallel(*resources, *processes, pool.clone(), par),
-            );
-            counters.sessions_opened += 1;
-            *next_session = (*next_session).max(*session + 1);
+            let sess = Session::with_parallel(*resources, *processes, pool.clone(), *par);
+            state.sessions.insert(*session, sess);
+            state.opened(*session);
         }
         WalOp::Batch { session, events } => {
             // A logged batch always follows a logged open/restore of
             // its session; a miss would mean the log was forged.
-            let Some(sess) = sessions.get_mut(session) else {
+            let Some(sess) = state.sessions.get_mut(session) else {
                 panic!("shard {shard}: WAL batch for unknown session {session}");
             };
             let events: Vec<Event> = events.iter().map(proto_event).collect();
-            let mut results = Vec::new();
-            let tally = sess.apply_batch(&events, &mut results);
-            counters.batches += 1;
-            counters.events += tally.events;
-            counters.probes += tally.probes;
-            counters.rejected += tally.rejected;
+            apply_batch(&mut state.counters, sess, &events);
         }
-        WalOp::Close { session } => {
-            if let Some(sess) = sessions.remove(session) {
-                let es = sess.engine_stats();
-                counters.retired_cache_hits += es.cache_hits;
-                counters.retired_reductions += es.reductions;
-                counters.retired_dense_reductions += es.dense_reductions;
-                counters.retired_sparse_reductions += es.sparse_reductions;
-                counters.sessions_closed += 1;
-            } else if let Some(b) = brokers.remove(session) {
-                let es = b.engine_stats();
-                counters.retired_cache_hits += es.cache_hits;
-                counters.retired_reductions += es.reductions;
-                counters.retired_dense_reductions += es.dense_reductions;
-                counters.retired_sparse_reductions += es.sparse_reductions;
-                let bc = b.counters();
-                counters.retired_broker_grants += bc.grants;
-                counters.retired_broker_deferrals += bc.deferrals;
-                counters.retired_broker_give_ups += bc.give_ups;
-                counters.retired_broker_livelocks += b.livelock_events();
-                counters.sessions_closed += 1;
-            }
-        }
+        WalOp::Close { session } => state.retire(*session),
         WalOp::Restore { snapshot } => {
-            if snapshot.broker.is_some() {
-                let b = Broker::restore_from(snapshot, pool.clone(), par)
-                    .unwrap_or_else(|e| panic!("shard {shard}: WAL broker restore: {e}"));
-                brokers.insert(snapshot.session, b);
-            } else {
-                let sess = Session::restore_from(snapshot, pool.clone(), par)
-                    .unwrap_or_else(|e| panic!("shard {shard}: WAL session restore: {e}"));
-                sessions.insert(snapshot.session, sess);
-            }
-            counters.sessions_opened += 1;
-            *next_session = (*next_session).max(snapshot.session + 1);
+            state
+                .restore(snapshot, engine, false)
+                .unwrap_or_else(|e| panic!("shard {shard}: WAL restore: {e}"));
         }
-        WalOp::Broker { session, op } => match op {
-            // Broker commands are logged, not their decisions:
-            // replaying the command against identical state re-derives
-            // the identical decision (including rejections), and the
-            // broker's own grant/deferral/give-up counters advance
-            // exactly as they did live. Woken waiters need no replay —
-            // a grant is broker state, and the reply slots died with
-            // the connections.
-            BrokerWalOp::Open {
-                resources,
-                processes,
-                metered,
-            } => {
-                brokers.insert(
-                    *session,
-                    Broker::new(*resources, *processes, *metered, pool.clone(), par),
-                );
-                counters.sessions_opened += 1;
-                *next_session = (*next_session).max(*session + 1);
-            }
-            op => {
-                let Some(b) = brokers.get_mut(session) else {
-                    panic!("shard {shard}: WAL broker op for unknown session {session}");
-                };
-                match *op {
-                    BrokerWalOp::Open { .. } => unreachable!("handled above"),
-                    BrokerWalOp::SetPriority { p, priority } => {
-                        b.set_priority(p, priority);
-                    }
-                    BrokerWalOp::Acquire { p, q } => {
-                        b.acquire(p, q);
-                    }
-                    BrokerWalOp::Release { p, q } => {
-                        b.release(p, q);
-                    }
-                    BrokerWalOp::GiveUpAck { p } => {
-                        b.give_up_ack(p);
-                    }
-                }
-            }
-        },
+        WalOp::Broker {
+            session,
+            op:
+                BrokerWalOp::Open {
+                    resources,
+                    processes,
+                    metered,
+                },
+        } => {
+            let b = Broker::new(*resources, *processes, *metered, pool.clone(), *par);
+            state.brokers.insert(*session, b);
+            state.opened(*session);
+        }
+        WalOp::Broker { session, op } => {
+            let Some(b) = state.brokers.get_mut(session) else {
+                panic!("shard {shard}: WAL broker op for unknown session {session}");
+            };
+            broker_step(b, op);
+        }
     }
 }
 
 /// Opens shard `shard`'s store and rebuilds its state: checkpoint
 /// sessions first, then the WAL suffix replayed through
-/// [`Session::apply_batch`] — the same ingestion path as live serving.
+/// [`apply_wal_op`] — the same apply path as live serving.
 ///
 /// # Panics
 ///
@@ -374,44 +409,26 @@ pub(crate) fn apply_wal_op(
 pub(crate) fn open_shard(
     cfg: &DurabilityConfig,
     shard: usize,
-    pool: Option<Arc<WorkerPool>>,
-    par: ParConfig,
+    engine: &EngineCtx,
 ) -> RecoveredShard {
     let (store, recovery) = ShardStore::open(&cfg.dir, shard as u32, cfg.fsync)
         .unwrap_or_else(|e| panic!("shard {shard}: store open failed: {e}"));
-    let mut sessions: HashMap<u64, Session> = HashMap::new();
-    let mut brokers: HashMap<u64, Broker> = HashMap::new();
-    let mut counters = ShardCounters::default();
-    let mut next_session = 0u64;
+    let mut state = ShardState::default();
     let mut checkpoint_sessions = 0u64;
     if let Some(ckpt) = &recovery.checkpoint {
-        counters = ckpt.counters;
-        next_session = ckpt.next_session;
+        state.counters = ckpt.counters;
+        state.next_session = ckpt.next_session;
         checkpoint_sessions = ckpt.sessions.len() as u64;
         for snap in &ckpt.sessions {
-            if snap.broker.is_some() {
-                let b = Broker::restore_from(snap, pool.clone(), par)
-                    .unwrap_or_else(|e| panic!("shard {shard}: checkpoint broker restore: {e}"));
-                brokers.insert(snap.session, b);
-            } else {
-                let sess = Session::restore_from(snap, pool.clone(), par)
-                    .unwrap_or_else(|e| panic!("shard {shard}: checkpoint session restore: {e}"));
-                sessions.insert(snap.session, sess);
-            }
+            state
+                .restore(snap, engine, true)
+                .unwrap_or_else(|e| panic!("shard {shard}: checkpoint restore: {e}"));
         }
     }
     let replayed_records = recovery.wal_ops.len() as u64;
     let mut wal_tail = Vec::with_capacity(recovery.wal_ops.len());
     for (seq, epoch, op) in &recovery.wal_ops {
-        apply_wal_op(
-            shard,
-            op,
-            &mut sessions,
-            &mut brokers,
-            &mut counters,
-            &mut next_session,
-            EngineCtx { pool: &pool, par },
-        );
+        apply_wal_op(shard, op, &mut state, engine);
         let mut bytes = Vec::new();
         op.encode_into(&mut bytes);
         wal_tail.push((*seq, *epoch, bytes));
@@ -422,8 +439,8 @@ pub(crate) fn open_shard(
         replayed_records,
         torn_bytes: recovery.torn_bytes,
         last_seq: store.last_seq(),
-        next_session,
-        live_sessions: (sessions.len() + brokers.len()) as u64,
+        next_session: state.next_session,
+        live_sessions: state.live() as u64,
     };
     RecoveredShard {
         persist: ShardPersist {
@@ -432,10 +449,7 @@ pub(crate) fn open_shard(
             checkpoint_on_shutdown: cfg.checkpoint_on_shutdown,
             info,
         },
-        sessions,
-        brokers,
-        counters,
-        next_session,
+        state,
         wal_tail,
     }
 }

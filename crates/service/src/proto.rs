@@ -274,9 +274,9 @@ pub enum Request {
     },
     /// Durability barrier: force the owning shard's WAL to disk and
     /// reply [`Response::Synced`] once the durable LSN covers every
-    /// record logged before this request. Lets a client buy an explicit
-    /// durability point under the pipelined (or any group) fsync policy
-    /// without paying for `FsyncPolicy::Always` globally. The session
+    /// record logged before this request — including read-only batches'
+    /// records, whose replies go out before their flush, and everything
+    /// an `FsyncPolicy::Os` shard has logged. The session
     /// is a routing key only — it selects the shard and need not be
     /// open. On a memory-only service the barrier is trivially
     /// satisfied (`durable_lsn = 0`).
@@ -330,9 +330,6 @@ pub struct ShardStats {
     pub probes: u64,
     /// Engine result-cache hits across the shard's sessions.
     pub cache_hits: u64,
-    /// Always 0: the runtime executes shards inline and has no request
-    /// queue. Kept so the wire encoding stays unchanged.
-    pub max_queue_depth: u64,
     /// Reductions served by the dense matrix path (live + retired).
     pub dense_reductions: u64,
     /// Reductions served by the sparse adjacency-list path (live +
@@ -949,7 +946,6 @@ pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
                 put_u64(out, s.events);
                 put_u64(out, s.probes);
                 put_u64(out, s.cache_hits);
-                put_u64(out, s.max_queue_depth);
                 put_u64(out, s.dense_reductions);
                 put_u64(out, s.sparse_reductions);
                 put_u64(out, s.live_edges);
@@ -1441,7 +1437,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                     events: r.u64()?,
                     probes: r.u64()?,
                     cache_hits: r.u64()?,
-                    max_queue_depth: r.u64()?,
                     dense_reductions: r.u64()?,
                     sparse_reductions: r.u64()?,
                     live_edges: r.u64()?,
@@ -1920,7 +1915,6 @@ mod tests {
             events: 100,
             probes: 10,
             cache_hits: 5,
-            max_queue_depth: 3,
             dense_reductions: 6,
             sparse_reductions: 4,
             live_edges: 17,

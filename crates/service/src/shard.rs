@@ -17,13 +17,11 @@ use deltaos_core::{Priority, ProcId, ResId};
 use deltaos_sim::{Histogram, Stats};
 use deltaos_store::{BrokerWalOp, SessionSnapshot, WalOp};
 
-use crate::broker::Broker;
 use crate::core_runtime::Ticket;
-use crate::durable::{self, DurabilityConfig, RecoveryInfo};
+use crate::durable::{self, DurabilityConfig, EngineCtx, RecoveryInfo, ShardState};
 use crate::proto::{
     AvoidanceMode, ErrorCode, Event, EventResult, ReplStatus, Response, SessionId, MAX_FRAME,
 };
-use crate::session::Session;
 
 /// Typed in-process service failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,68 +114,6 @@ struct Waiter {
     p: ProcId,
     q: ResId,
     slot: Ticket,
-}
-
-/// Per-shard counter state, folded into a [`Stats`] on demand.
-#[derive(Default)]
-struct WorkerCounters {
-    events: u64,
-    batches: u64,
-    probes: u64,
-    rejected: u64,
-    sessions_opened: u64,
-    sessions_closed: u64,
-    /// Engine counters of already-closed sessions, so cache-hit totals
-    /// survive session teardown.
-    retired_cache_hits: u64,
-    retired_reductions: u64,
-    retired_dense_reductions: u64,
-    retired_sparse_reductions: u64,
-    /// Broker counters of already-closed broker sessions.
-    retired_broker_grants: u64,
-    retired_broker_deferrals: u64,
-    retired_broker_give_ups: u64,
-    retired_broker_livelocks: u64,
-}
-
-impl WorkerCounters {
-    fn from_store(c: deltaos_store::ShardCounters) -> Self {
-        WorkerCounters {
-            events: c.events,
-            batches: c.batches,
-            probes: c.probes,
-            rejected: c.rejected,
-            sessions_opened: c.sessions_opened,
-            sessions_closed: c.sessions_closed,
-            retired_cache_hits: c.retired_cache_hits,
-            retired_reductions: c.retired_reductions,
-            retired_dense_reductions: c.retired_dense_reductions,
-            retired_sparse_reductions: c.retired_sparse_reductions,
-            retired_broker_grants: c.retired_broker_grants,
-            retired_broker_deferrals: c.retired_broker_deferrals,
-            retired_broker_give_ups: c.retired_broker_give_ups,
-            retired_broker_livelocks: c.retired_broker_livelocks,
-        }
-    }
-
-    fn to_store(&self) -> deltaos_store::ShardCounters {
-        deltaos_store::ShardCounters {
-            events: self.events,
-            batches: self.batches,
-            probes: self.probes,
-            rejected: self.rejected,
-            sessions_opened: self.sessions_opened,
-            sessions_closed: self.sessions_closed,
-            retired_cache_hits: self.retired_cache_hits,
-            retired_reductions: self.retired_reductions,
-            retired_dense_reductions: self.retired_dense_reductions,
-            retired_sparse_reductions: self.retired_sparse_reductions,
-            retired_broker_grants: self.retired_broker_grants,
-            retired_broker_deferrals: self.retired_broker_deferrals,
-            retired_broker_give_ups: self.retired_broker_give_ups,
-            retired_broker_livelocks: self.retired_broker_livelocks,
-        }
-    }
 }
 
 /// Pipelined group-commit telemetry: flush batch sizes, withheld-reply
@@ -300,16 +236,14 @@ pub(crate) struct ShardCore {
     shard_id: usize,
     max_sessions: usize,
     max_dim: u16,
-    par: ParConfig,
-    pool: Option<Arc<WorkerPool>>,
-    sessions: HashMap<u64, Session>,
-    brokers: HashMap<u64, Broker>,
+    engine: EngineCtx,
+    /// Sessions, brokers, counters and the id floor: what the WAL
+    /// reproduces, changed only through `durable`'s shared helpers.
+    state: ShardState,
     /// Blocked Acquire reply slots per broker session. Reconstructed
     /// waiting state after recovery lives in the avoiders; slots reappear
     /// as reconnecting clients re-issue (re-attach) their acquires.
     waiters: HashMap<u64, Vec<Waiter>>,
-    counters: WorkerCounters,
-    next_session: u64,
     persist: Option<durable::ShardPersist>,
     /// Under `FsyncPolicy::Pipelined`: the LSN the last logged op's reply
     /// must wait out before delivery. Consumed (and reset) by the
@@ -336,60 +270,37 @@ impl ShardCore {
         durability: Option<&DurabilityConfig>,
         replica: bool,
     ) -> ShardCore {
-        match durability {
-            None => ShardCore {
-                shard_id,
-                max_sessions,
-                max_dim,
-                par,
-                pool,
-                sessions: HashMap::new(),
-                brokers: HashMap::new(),
-                waiters: HashMap::new(),
-                counters: WorkerCounters::default(),
-                next_session: 0,
-                persist: None,
-                withhold_lsn: None,
-                pipeline: PipelineMeter::default(),
-                repl: ReplState::new(!replica, false),
-            },
+        let engine = EngineCtx { pool, par };
+        let (state, persist, repl) = match durability {
+            None => (ShardState::default(), None, ReplState::new(!replica, false)),
             Some(d) => {
-                let recovered = durable::open_shard(d, shard_id, pool.clone(), par);
-                let mut persist = recovered.persist;
-                persist.info.next_session = recovered.next_session;
+                let recovered = durable::open_shard(d, shard_id, &engine);
                 let mut repl = ReplState::new(!replica, d.repl_ack);
-                repl.epoch = persist.store.epoch();
-                repl.last_seq = persist.store.last_seq();
+                repl.epoch = recovered.persist.store.epoch();
+                repl.last_seq = recovered.persist.store.last_seq();
                 for (seq, epoch, bytes) in recovered.wal_tail {
                     repl.push(seq, epoch, bytes);
                 }
-                ShardCore {
-                    shard_id,
-                    max_sessions,
-                    max_dim,
-                    par,
-                    pool,
-                    sessions: recovered.sessions,
-                    brokers: recovered.brokers,
-                    waiters: HashMap::new(),
-                    counters: WorkerCounters::from_store(recovered.counters),
-                    next_session: recovered.next_session,
-                    persist: Some(persist),
-                    withhold_lsn: None,
-                    pipeline: PipelineMeter::default(),
-                    repl,
-                }
+                (recovered.state, Some(recovered.persist), repl)
             }
+        };
+        ShardCore {
+            shard_id,
+            max_sessions,
+            max_dim,
+            engine,
+            state,
+            waiters: HashMap::new(),
+            persist,
+            withhold_lsn: None,
+            pipeline: PipelineMeter::default(),
+            repl,
         }
     }
 
     /// What recovery found, when durability is on.
     pub(crate) fn recovery_info(&self) -> Option<RecoveryInfo> {
         self.persist.as_ref().map(|p| p.info)
-    }
-
-    fn live(&self) -> usize {
-        self.sessions.len() + self.brokers.len()
     }
 
     /// `Some((max_records, deadline))` when the WAL runs
@@ -457,6 +368,36 @@ impl ShardCore {
         (lsn, persist.pipeline().is_some() || repl.gate)
     }
 
+    /// Write-ahead `op` when durable, withholding its reply for its LSN
+    /// when the policy says so.
+    fn write_ahead(&mut self, op: &WalOp) {
+        if let Some(p) = self.persist.as_mut() {
+            let (lsn, withhold) = Self::log_mirrored(p, &mut self.repl, op);
+            if withhold {
+                self.withhold_lsn = Some(lsn);
+            }
+        }
+    }
+
+    /// Write-ahead `op`, then apply it through [`durable::apply_wal_op`]
+    /// — the exact code recovery and replica apply replay.
+    fn log_and_apply(&mut self, op: WalOp) {
+        self.write_ahead(&op);
+        durable::apply_wal_op(self.shard_id, &op, &mut self.state, &self.engine);
+    }
+
+    /// Admission for an op that adds a session: primaries only, and only
+    /// below the shard's session cap.
+    fn admit_new(&self) -> Result<(), ServiceError> {
+        if !self.repl.primary {
+            Err(ServiceError::ReadOnlyReplica)
+        } else if self.state.live() >= self.max_sessions {
+            Err(ServiceError::TooManySessions)
+        } else {
+            Ok(())
+        }
+    }
+
     /// Opens a plain detection session under `session`.
     pub(crate) fn open(
         &mut self,
@@ -464,33 +405,13 @@ impl ShardCore {
         resources: u16,
         processes: u16,
     ) -> Result<SessionId, ServiceError> {
-        if !self.repl.primary {
-            return Err(ServiceError::ReadOnlyReplica);
-        }
-        if self.live() >= self.max_sessions {
-            return Err(ServiceError::TooManySessions);
-        }
+        self.admit_new()?;
         // Write-ahead: the open is durable before it exists.
-        if let Some(p) = self.persist.as_mut() {
-            let (lsn, withhold) = Self::log_mirrored(
-                p,
-                &mut self.repl,
-                &WalOp::Open {
-                    session: session.0,
-                    resources,
-                    processes,
-                },
-            );
-            if withhold {
-                self.withhold_lsn = Some(lsn);
-            }
-        }
-        self.sessions.insert(
-            session.0,
-            Session::with_parallel(resources, processes, self.pool.clone(), self.par),
-        );
-        self.counters.sessions_opened += 1;
-        self.next_session = self.next_session.max(session.0 + 1);
+        self.log_and_apply(WalOp::Open {
+            session: session.0,
+            resources,
+            processes,
+        });
         Ok(session)
     }
 
@@ -507,36 +428,15 @@ impl ShardCore {
         if mode == AvoidanceMode::Off {
             return self.open(session, resources, processes);
         }
-        if !self.repl.primary {
-            return Err(ServiceError::ReadOnlyReplica);
-        }
-        if self.live() >= self.max_sessions {
-            return Err(ServiceError::TooManySessions);
-        }
-        let metered = mode == AvoidanceMode::Metered;
-        if let Some(p) = self.persist.as_mut() {
-            let (lsn, withhold) = Self::log_mirrored(
-                p,
-                &mut self.repl,
-                &WalOp::Broker {
-                    session: session.0,
-                    op: BrokerWalOp::Open {
-                        resources,
-                        processes,
-                        metered,
-                    },
-                },
-            );
-            if withhold {
-                self.withhold_lsn = Some(lsn);
-            }
-        }
-        self.brokers.insert(
-            session.0,
-            Broker::new(resources, processes, metered, self.pool.clone(), self.par),
-        );
-        self.counters.sessions_opened += 1;
-        self.next_session = self.next_session.max(session.0 + 1);
+        self.admit_new()?;
+        self.log_and_apply(WalOp::Broker {
+            session: session.0,
+            op: BrokerWalOp::Open {
+                resources,
+                processes,
+                metered: mode == AvoidanceMode::Metered,
+            },
+        });
         Ok(session)
     }
 
@@ -546,52 +446,46 @@ impl ShardCore {
         session: SessionId,
         events: &[Event],
     ) -> Result<Vec<EventResult>, ServiceError> {
-        match self.sessions.get_mut(&session.0) {
-            None if self.brokers.contains_key(&session.0) => Err(ServiceError::AvoidanceOn),
-            None => Err(ServiceError::UnknownSession),
-            Some(sess) => {
-                let read_only = events
-                    .iter()
-                    .all(|e| matches!(e, Event::Probe | Event::WouldDeadlock { .. }));
-                if !self.repl.primary && !read_only {
-                    return Err(ServiceError::ReadOnlyReplica);
+        let Some(sess) = self.state.sessions.get_mut(&session.0) else {
+            return Err(if self.state.brokers.contains_key(&session.0) {
+                ServiceError::AvoidanceOn
+            } else {
+                ServiceError::UnknownSession
+            });
+        };
+        let read_only = events
+            .iter()
+            .all(|e| matches!(e, Event::Probe | Event::WouldDeadlock { .. }));
+        if !self.repl.primary && !read_only {
+            return Err(ServiceError::ReadOnlyReplica);
+        }
+        // Every accepted batch is logged — probe-only ones too, because
+        // probes advance the engine counters recovery must reproduce.
+        // Read-only batches (probes and would-deadlock queries, which
+        // mutate no client-visible edge state) still reply immediately
+        // under the pipelined policy, before their record is durable:
+        // read latency is untouched.
+        //
+        // Exception: a replica serves read-only batches without logging.
+        // Its WAL is a byte mirror of the primary's and must not diverge
+        // by local appends; the price is that a probed replica's engine
+        // counters run ahead of the primary's.
+        if self.repl.primary {
+            if let Some(p) = self.persist.as_mut() {
+                let (lsn, withhold) = Self::log_mirrored(
+                    p,
+                    &mut self.repl,
+                    &WalOp::Batch {
+                        session: session.0,
+                        events: events.iter().map(durable::wal_event).collect(),
+                    },
+                );
+                if !read_only && withhold {
+                    self.withhold_lsn = Some(lsn);
                 }
-                // Every accepted batch is logged — probe-only ones too,
-                // because probes advance the engine counters recovery
-                // must reproduce. Read-only batches (probes and
-                // would-deadlock queries, which mutate no client-visible
-                // edge state) still reply immediately under the
-                // pipelined policy: read latency is untouched.
-                //
-                // Exception: a replica serves read-only batches without
-                // logging. Its WAL is a byte mirror of the primary's and
-                // must not diverge by local appends; the price is that a
-                // probed replica's engine counters run ahead of the
-                // primary's.
-                if self.repl.primary {
-                    if let Some(p) = self.persist.as_mut() {
-                        let (lsn, withhold) = Self::log_mirrored(
-                            p,
-                            &mut self.repl,
-                            &WalOp::Batch {
-                                session: session.0,
-                                events: events.iter().map(durable::wal_event).collect(),
-                            },
-                        );
-                        if !read_only && withhold {
-                            self.withhold_lsn = Some(lsn);
-                        }
-                    }
-                }
-                self.counters.batches += 1;
-                let mut results = Vec::new();
-                let tally = sess.apply_batch(events, &mut results);
-                self.counters.events += tally.events;
-                self.counters.probes += tally.probes;
-                self.counters.rejected += tally.rejected;
-                Ok(results)
             }
         }
+        Ok(durable::apply_batch(&mut self.state.counters, sess, events))
     }
 
     /// Tears a session down, folding its engine counters into the shard
@@ -603,59 +497,29 @@ impl ShardCore {
         if !self.repl.primary {
             return (Err(ServiceError::ReadOnlyReplica), Vec::new());
         }
-        if self.sessions.contains_key(&session.0) {
-            if let Some(p) = self.persist.as_mut() {
-                let (lsn, withhold) =
-                    Self::log_mirrored(p, &mut self.repl, &WalOp::Close { session: session.0 });
-                if withhold {
-                    self.withhold_lsn = Some(lsn);
-                }
-            }
-            let sess = self.sessions.remove(&session.0).expect("checked above");
-            let es = sess.engine_stats();
-            self.counters.retired_cache_hits += es.cache_hits;
-            self.counters.retired_reductions += es.reductions;
-            self.counters.retired_dense_reductions += es.dense_reductions;
-            self.counters.retired_sparse_reductions += es.sparse_reductions;
-            self.counters.sessions_closed += 1;
-            (Ok(()), Vec::new())
-        } else if self.brokers.contains_key(&session.0) {
-            if let Some(p) = self.persist.as_mut() {
-                let (lsn, withhold) =
-                    Self::log_mirrored(p, &mut self.repl, &WalOp::Close { session: session.0 });
-                if withhold {
-                    self.withhold_lsn = Some(lsn);
-                }
-            }
-            let broker = self.brokers.remove(&session.0).expect("checked above");
-            let es = broker.engine_stats();
-            self.counters.retired_cache_hits += es.cache_hits;
-            self.counters.retired_reductions += es.reductions;
-            self.counters.retired_dense_reductions += es.dense_reductions;
-            self.counters.retired_sparse_reductions += es.sparse_reductions;
-            let bc = broker.counters();
-            self.counters.retired_broker_grants += bc.grants;
-            self.counters.retired_broker_deferrals += bc.deferrals;
-            self.counters.retired_broker_give_ups += bc.give_ups;
-            self.counters.retired_broker_livelocks += broker.livelock_events();
-            self.counters.sessions_closed += 1;
-            let dead = self
-                .waiters
-                .remove(&session.0)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|w| w.slot)
-                .collect();
-            (Ok(()), dead)
-        } else {
-            (Err(ServiceError::UnknownSession), Vec::new())
+        if !self.state.sessions.contains_key(&session.0)
+            && !self.state.brokers.contains_key(&session.0)
+        {
+            return (Err(ServiceError::UnknownSession), Vec::new());
         }
+        self.log_and_apply(WalOp::Close { session: session.0 });
+        let dead = self
+            .waiters
+            .remove(&session.0)
+            .unwrap_or_default()
+            .into_iter()
+            .map(|w| w.slot)
+            .collect();
+        (Ok(()), dead)
     }
 
     /// Serializes a live session (plain or broker) into a checkpoint
     /// blob that fits one wire frame.
     pub(crate) fn snapshot_blob(&self, session: SessionId) -> Result<Vec<u8>, ServiceError> {
-        let snap = match (self.sessions.get(&session.0), self.brokers.get(&session.0)) {
+        let ShardState {
+            sessions, brokers, ..
+        } = &self.state;
+        let snap = match (sessions.get(&session.0), brokers.get(&session.0)) {
             (Some(sess), _) => sess.snapshot(session.0),
             (None, Some(b)) => b.snapshot(session.0),
             (None, None) => return Err(ServiceError::UnknownSession),
@@ -679,12 +543,7 @@ impl ShardCore {
         session: SessionId,
         snapshot: &[u8],
     ) -> Result<SessionId, ServiceError> {
-        if !self.repl.primary {
-            return Err(ServiceError::ReadOnlyReplica);
-        }
-        if self.live() >= self.max_sessions {
-            return Err(ServiceError::TooManySessions);
-        }
+        self.admit_new()?;
         let mut snap =
             SessionSnapshot::decode(snapshot).map_err(|_| ServiceError::InvalidSnapshot)?;
         if snap.resources > self.max_dim || snap.processes > self.max_dim {
@@ -693,41 +552,16 @@ impl ShardCore {
         // The restored session lives under the freshly assigned id, not
         // whatever id it had in its previous life.
         snap.session = session.0;
-        if snap.broker.is_some() {
-            let b = Broker::restore_from(&snap, self.pool.clone(), self.par)
-                .map_err(|_| ServiceError::InvalidSnapshot)?;
-            if let Some(p) = self.persist.as_mut() {
-                let (lsn, withhold) = Self::log_mirrored(
-                    p,
-                    &mut self.repl,
-                    &WalOp::Restore {
-                        snapshot: Box::new(snap),
-                    },
-                );
-                if withhold {
-                    self.withhold_lsn = Some(lsn);
-                }
-            }
-            self.brokers.insert(session.0, b);
-        } else {
-            let sess = Session::restore_from(&snap, self.pool.clone(), self.par)
-                .map_err(|_| ServiceError::InvalidSnapshot)?;
-            if let Some(p) = self.persist.as_mut() {
-                let (lsn, withhold) = Self::log_mirrored(
-                    p,
-                    &mut self.repl,
-                    &WalOp::Restore {
-                        snapshot: Box::new(snap),
-                    },
-                );
-                if withhold {
-                    self.withhold_lsn = Some(lsn);
-                }
-            }
-            self.sessions.insert(session.0, sess);
-        }
-        self.counters.sessions_opened += 1;
-        self.next_session = self.next_session.max(session.0 + 1);
+        // Validate before logging: a snapshot that cannot restore must
+        // never reach the WAL, where replay would fail-stop on it.
+        // Restoring is the validation, so the session is in place before
+        // its record is appended; the reply still waits for the record.
+        self.state
+            .restore(&snap, &self.engine, false)
+            .map_err(|_| ServiceError::InvalidSnapshot)?;
+        self.write_ahead(&WalOp::Restore {
+            snapshot: Box::new(snap),
+        });
         Ok(session)
     }
 
@@ -745,8 +579,7 @@ impl ShardCore {
             woken: Vec::new(),
         };
         let ShardCore {
-            sessions,
-            brokers,
+            state,
             waiters,
             persist,
             withhold_lsn,
@@ -757,8 +590,8 @@ impl ShardCore {
             out.reply = Some((slot, Err(ServiceError::ReadOnlyReplica)));
             return out;
         }
-        let Some(broker) = brokers.get_mut(&session.0) else {
-            let e = if sessions.contains_key(&session.0) {
+        let Some(broker) = state.brokers.get_mut(&session.0) else {
+            let e = if state.sessions.contains_key(&session.0) {
                 ServiceError::AvoidanceOff
             } else {
                 ServiceError::UnknownSession
@@ -804,24 +637,23 @@ impl ShardCore {
                 return out;
             }
         }
+        let (op, wait) = match cmd {
+            BrokerCmd::SetPriority { p, priority } => {
+                (BrokerWalOp::SetPriority { p, priority }, false)
+            }
+            BrokerCmd::Acquire { p, q, wait } => (BrokerWalOp::Acquire { p, q }, wait),
+            BrokerCmd::Release { p, q } => (BrokerWalOp::Release { p, q }, false),
+            BrokerCmd::GiveUpAck { p } => (BrokerWalOp::GiveUpAck { p }, false),
+        };
         // Write-ahead: the *command* is durable before it runs, not its
         // decision — replay re-runs it against identical state and
         // re-derives the identical decision, rejections included.
         if let Some(persist) = persist.as_mut() {
-            let wal_op = match cmd {
-                BrokerCmd::SetPriority { p, priority } => BrokerWalOp::SetPriority { p, priority },
-                BrokerCmd::Acquire { p, q, .. } => BrokerWalOp::Acquire { p, q },
-                BrokerCmd::Release { p, q } => BrokerWalOp::Release { p, q },
-                BrokerCmd::GiveUpAck { p } => BrokerWalOp::GiveUpAck { p },
+            let wal_op = WalOp::Broker {
+                session: session.0,
+                op,
             };
-            let (lsn, withhold) = Self::log_mirrored(
-                persist,
-                repl,
-                &WalOp::Broker {
-                    session: session.0,
-                    op: wal_op,
-                },
-            );
+            let (lsn, withhold) = Self::log_mirrored(persist, repl, &wal_op);
             // The command's reply AND any waiters its grants wake ride
             // this LSN: a grant exists only because the logged command
             // ran, so neither may be seen before the command is durable.
@@ -830,37 +662,20 @@ impl ShardCore {
                 *withhold_lsn = Some(lsn);
             }
         }
-        match cmd {
-            BrokerCmd::SetPriority { p, priority } => {
-                out.reply = Some((slot, Ok(broker.set_priority(p, priority))));
+        let (resp, grants) = durable::broker_step(broker, &op);
+        Self::wake_waiters(waiters, session.0, &grants, &mut out.woken);
+        match op {
+            // The blocking primitive: the reply slot fills when a later
+            // command's grant names this edge. An R-dl acquire
+            // (`GiveUp`) still answers immediately even with `wait` set
+            // — the client must see the ask to act on it.
+            BrokerWalOp::Acquire { p, q } if wait && matches!(resp, Response::Deferred { .. }) => {
+                waiters
+                    .entry(session.0)
+                    .or_default()
+                    .push(Waiter { p, q, slot });
             }
-            BrokerCmd::Acquire { p, q, wait } => {
-                let (resp, grants) = broker.acquire(p, q);
-                Self::wake_waiters(waiters, session.0, &grants, &mut out.woken);
-                if wait && matches!(resp, Response::Deferred { .. }) {
-                    // The blocking primitive: the reply slot fills when a
-                    // later command's grant names this edge. An R-dl
-                    // acquire (`GiveUp`) still answers immediately even
-                    // with `wait` set — the client must see the ask to
-                    // act on it.
-                    waiters
-                        .entry(session.0)
-                        .or_default()
-                        .push(Waiter { p, q, slot });
-                } else {
-                    out.reply = Some((slot, Ok(resp)));
-                }
-            }
-            BrokerCmd::Release { p, q } => {
-                let (resp, grants) = broker.release(p, q);
-                Self::wake_waiters(waiters, session.0, &grants, &mut out.woken);
-                out.reply = Some((slot, Ok(resp)));
-            }
-            BrokerCmd::GiveUpAck { p } => {
-                let (resp, grants) = broker.give_up_ack(p);
-                Self::wake_waiters(waiters, session.0, &grants, &mut out.woken);
-                out.reply = Some((slot, Ok(resp)));
-            }
+            _ => out.reply = Some((slot, Ok(resp))),
         }
         out
     }
@@ -1025,30 +840,9 @@ impl ShardCore {
                     .commit()
                     .unwrap_or_else(|e| panic!("replica WAL commit failed: {e}"));
             }
-            let ShardCore {
-                shard_id,
-                sessions,
-                brokers,
-                counters,
-                next_session,
-                pool,
-                par,
-                repl,
-                ..
-            } = self;
-            let mut store_counters = counters.to_store();
-            durable::apply_wal_op(
-                *shard_id,
-                &op,
-                sessions,
-                brokers,
-                &mut store_counters,
-                next_session,
-                durable::EngineCtx { pool, par: *par },
-            );
-            *counters = WorkerCounters::from_store(store_counters);
-            repl.epoch = *epoch;
-            repl.push(*seq, *epoch, bytes.clone());
+            durable::apply_wal_op(self.shard_id, &op, &mut self.state, &self.engine);
+            self.repl.epoch = *epoch;
+            self.repl.push(*seq, *epoch, bytes.clone());
             applied = true;
         }
         if applied {
@@ -1065,7 +859,7 @@ impl ShardCore {
 
     /// This shard's counters as a [`Stats`] row.
     pub(crate) fn report(&self) -> Stats {
-        let counters = &self.counters;
+        let counters = &self.state.counters;
         let mut cache_hits = counters.retired_cache_hits;
         let mut reductions = counters.retired_reductions;
         let mut dense_reductions = counters.retired_dense_reductions;
@@ -1075,7 +869,7 @@ impl ShardCore {
         // engine's).
         let mut live_edges = 0u64;
         let mut live_area = 0u64;
-        for sess in self.sessions.values() {
+        for sess in self.state.sessions.values() {
             let es = sess.engine_stats();
             cache_hits += es.cache_hits;
             reductions += es.reductions;
@@ -1099,7 +893,7 @@ impl ShardCore {
         // unlike the parked reply *slots*, which die with their
         // connections.
         let mut broker_waiters = 0u64;
-        for b in self.brokers.values() {
+        for b in self.state.brokers.values() {
             let es = b.engine_stats();
             cache_hits += es.cache_hits;
             reductions += es.reductions;
@@ -1133,7 +927,7 @@ impl ShardCore {
         s.add("service.density_permille", density_permille);
         s.add("service.sessions_opened", counters.sessions_opened);
         s.add("service.sessions_closed", counters.sessions_closed);
-        s.add("service.sessions_open", self.live() as u64);
+        s.add("service.sessions_open", self.state.live() as u64);
         s.add("service.broker_grants", broker_grants);
         s.add("service.broker_deferrals", broker_deferrals);
         s.add("service.broker_give_ups", broker_give_ups);
@@ -1181,30 +975,16 @@ impl ShardCore {
     /// accumulated since the last one (`force` skips the threshold).
     /// Returns whether a checkpoint was written.
     pub(crate) fn maybe_checkpoint(&mut self, force: bool) -> bool {
-        let ShardCore {
-            shard_id,
-            sessions,
-            brokers,
-            counters,
-            next_session,
-            persist,
-            ..
-        } = self;
-        persist.as_mut().is_some_and(|p| {
-            p.maybe_checkpoint(
-                *shard_id,
-                counters.to_store(),
-                *next_session,
-                sessions,
-                brokers,
-                force,
-            )
-        })
+        let (shard, state) = (self.shard_id, &self.state);
+        self.persist
+            .as_mut()
+            .is_some_and(|p| p.maybe_checkpoint(shard, state, force))
     }
 
     /// Shutdown durability: final checkpoint, or at least a WAL sync —
-    /// under `EveryN`/`Os` nothing acknowledged may be lost to a clean
-    /// stop.
+    /// nothing logged may be lost to a clean stop, neither `Os` records
+    /// still in the page cache nor pipelined read-only records that
+    /// replied before their flush.
     pub(crate) fn finish(&mut self) {
         if self.persist.is_none() {
             return;
@@ -1377,6 +1157,47 @@ mod tests {
             Err(ServiceError::UnknownSession)
         );
         service.stop();
+    }
+
+    #[test]
+    fn the_default_durability_replies_only_once_fsynced() {
+        let dir =
+            std::env::temp_dir().join(format!("deltaos-shard-default-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = CoreRuntime::bind(
+            "127.0.0.1:0",
+            CoreConfig {
+                shards: 1,
+                durability: Some(DurabilityConfig::new(&dir)),
+                ..CoreConfig::default()
+            },
+        )
+        .expect("bind runtime");
+        let client = service.client();
+        let sid = client.open(4, 4).unwrap();
+        for i in 0..4u16 {
+            client
+                .batch(
+                    sid,
+                    vec![
+                        Event::Grant { q: q(i), p: p(i) },
+                        Event::Request {
+                            p: p(i),
+                            q: q((i + 1) % 4),
+                        },
+                    ],
+                )
+                .unwrap();
+            // No `Sync`: the reply itself must mean the record is on disk.
+            let stats = client.stats_merged().unwrap();
+            assert_eq!(
+                stats.counter("store.durable_seq"),
+                stats.counter("store.last_seq"),
+                "batch {i} was acknowledged before its fsync"
+            );
+        }
+        service.stop();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

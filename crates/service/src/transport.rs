@@ -10,7 +10,9 @@ use crate::proto::{FrontendStats, WireError, MAX_FRAME};
 
 /// Raw `poll(2)` binding — the only non-std surface this crate touches,
 /// and still libc-free: std already links the platform C library, so a
-/// direct `extern "C"` declaration suffices.
+/// direct `extern "C"` declaration suffices. The crate denies
+/// `unsafe_code`; this module is its one exception.
+#[allow(unsafe_code)]
 pub(crate) mod sys {
     use std::io;
     use std::os::raw::{c_int, c_short};
@@ -43,6 +45,9 @@ pub(crate) mod sys {
     /// forever), retrying on `EINTR`.
     pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
         loop {
+            // SAFETY: `fds` is a live, exclusively borrowed slice of
+            // `#[repr(C)]` `pollfd`s and `nfds` is its length, so `poll`
+            // reads and writes (only `revents`) inside it.
             let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
             if rc >= 0 {
                 return Ok(rc as usize);

@@ -501,7 +501,10 @@ fn durable_runtime_recovers_bit_identical_across_restart() {
             shards: 2,
             durability: Some(DurabilityConfig {
                 dir: dir.clone(),
-                fsync: FsyncPolicy::Always,
+                fsync: FsyncPolicy::Pipelined {
+                    max_records: 1,
+                    deadline: Duration::from_micros(500),
+                },
                 // Small enough that the run crosses checkpoint
                 // boundaries, so recovery exercises checkpoint + WAL
                 // tail replay, not just one of them.
@@ -594,7 +597,10 @@ fn bind_fails_when_a_shard_cannot_recover() {
             shards: 2,
             durability: Some(DurabilityConfig {
                 dir: dir.clone(),
-                fsync: FsyncPolicy::Always,
+                fsync: FsyncPolicy::Pipelined {
+                    max_records: 1,
+                    deadline: Duration::from_micros(500),
+                },
                 checkpoint_every_records: u64::MAX,
                 checkpoint_on_shutdown: false,
                 repl_ack: false,

@@ -215,7 +215,7 @@ fn pipelined_crash_loses_only_the_unreplied_suffix() {
         );
 
         // The pipeline must actually be batching: fewer fsyncs than
-        // logical records (Always would do one per record).
+        // logical records (`max_records: 1` would do one per record).
         let fsyncs: u64 = match cli.call(&Request::Stats).expect("stats") {
             Response::Stats { shards, .. } => shards.iter().map(|r| r.pipeline_fsyncs).sum(),
             other => panic!("stats answered {other:?}"),

@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use deltaos_core::par::ParConfig;
 use deltaos_core::{Priority, ProcId, ResId};
@@ -74,6 +75,17 @@ fn config(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> CoreConfig {
         ..CoreConfig::default()
     }
 }
+
+/// The default policy: pipelined group commit.
+fn group_commit() -> FsyncPolicy {
+    DurabilityConfig::new("").fsync
+}
+
+/// One fsync per logged op.
+const ONE_FSYNC_PER_OP: FsyncPolicy = FsyncPolicy::Pipelined {
+    max_records: 1,
+    deadline: Duration::from_micros(500),
+};
 
 fn start(config: CoreConfig) -> CoreRuntime {
     CoreRuntime::bind("127.0.0.1:0", config).expect("bind runtime")
@@ -358,7 +370,7 @@ fn graceful_restart_is_bit_identical() {
     for (name, checkpoint_every) in [("nockpt", u64::MAX), ("ckpt", 16)] {
         let dir = tmp(&format!("graceful-{name}"));
         {
-            let service = start(config(&dir, FsyncPolicy::EveryN(4), checkpoint_every));
+            let service = start(config(&dir, group_commit(), checkpoint_every));
             assert!(service.recovery().iter().all(|r| r.live_sessions == 0));
             drive(&service, 0xFEED, 300);
             service.stop();
@@ -369,7 +381,7 @@ fn graceful_restart_is_bit_identical() {
         let mut reference = replay_reference(&dir, &wal_bytes);
         // A graceful shutdown loses nothing: the reference covers the
         // full workload and the restarted service must match it.
-        assert_recovery_matches(&dir, &mut reference, FsyncPolicy::EveryN(4));
+        assert_recovery_matches(&dir, &mut reference, group_commit());
         fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -569,13 +581,13 @@ fn recovery_reports_and_session_ids_never_collide() {
     let dir = tmp("info");
     let open_after_restart;
     {
-        let service = start(config(&dir, FsyncPolicy::Always, u64::MAX));
+        let service = start(config(&dir, ONE_FSYNC_PER_OP, u64::MAX));
         let open = drive(&service, 0xAB1E, 120);
         assert!(!open.is_empty());
         service.stop();
         open_after_restart = open;
     }
-    let service = start(config(&dir, FsyncPolicy::Always, u64::MAX));
+    let service = start(config(&dir, ONE_FSYNC_PER_OP, u64::MAX));
     let infos = service.recovery();
     assert_eq!(infos.len(), SHARDS);
     let live: u64 = infos.iter().map(|r| r.live_sessions).sum();
@@ -605,7 +617,7 @@ fn recovery_reports_and_session_ids_never_collide() {
 fn checkpoint_compaction_truncates_the_wal() {
     let dir = tmp("compaction");
     {
-        let service = start(config(&dir, FsyncPolicy::EveryN(8), 8));
+        let service = start(config(&dir, group_commit(), 8));
         drive(&service, 0x5EED, 200);
         let merged = service.client().stats_merged().unwrap();
         assert!(
@@ -626,6 +638,6 @@ fn checkpoint_compaction_truncates_the_wal() {
         .map(|s| fs::read(dir.join(format!("wal-{s}.log"))).unwrap_or_default())
         .collect();
     let mut reference = replay_reference(&dir, &wal_bytes);
-    assert_recovery_matches(&dir, &mut reference, FsyncPolicy::EveryN(8));
+    assert_recovery_matches(&dir, &mut reference, group_commit());
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -49,7 +49,10 @@ fn tmp(name: &str) -> PathBuf {
 fn durable_config(dir: &Path, repl_ack: bool) -> DurabilityConfig {
     DurabilityConfig {
         dir: dir.to_path_buf(),
-        fsync: FsyncPolicy::Always,
+        fsync: FsyncPolicy::Pipelined {
+            max_records: 1,
+            deadline: Duration::from_micros(500),
+        },
         checkpoint_every_records: 100_000,
         checkpoint_on_shutdown: false,
         repl_ack,
@@ -57,7 +60,8 @@ fn durable_config(dir: &Path, repl_ack: bool) -> DurabilityConfig {
 }
 
 /// One writer batch: at least one edit event (pure-probe batches are
-/// never WAL-logged, so they must not enter the replay ledger).
+/// logged but reply before their record is durable, so they must not
+/// enter the replay ledger).
 fn random_batch(rng: &mut StdRng) -> Vec<Event> {
     let extra = rng.gen_range(0..3);
     let mut events = Vec::with_capacity(1 + extra);

@@ -221,7 +221,6 @@ fn sample_responses(rng: &mut StdRng) -> Response {
                 events: rng.gen_range(0..u64::MAX),
                 probes: rng.gen_range(0..u64::MAX),
                 cache_hits: rng.gen_range(0..u64::MAX),
-                max_queue_depth: rng.gen_range(0..100u64),
                 dense_reductions: rng.gen_range(0..u64::MAX),
                 sparse_reductions: rng.gen_range(0..u64::MAX),
                 live_edges: rng.gen_range(0..u64::MAX),

@@ -27,8 +27,10 @@
 //! truncated away.
 //!
 //! Writes go through a group-commit buffer: [`WalWriter::append`]
-//! stages records, [`WalWriter::commit`] hands them to the OS in one
-//! write and applies the [`FsyncPolicy`].
+//! stages records and [`WalWriter::commit`] applies the
+//! [`FsyncPolicy`]: under `Os` it hands them to the kernel in one write,
+//! under `Pipelined` it leaves them staged for the next
+//! [`WalWriter::sync`].
 //!
 //! ## The durable-frontier invariant
 //!
@@ -36,9 +38,8 @@
 //! sequence number for which an `fdatasync` has returned (or that a
 //! loaded checkpoint covers). It advances *only* at those two points —
 //! never on [`append`](WalWriter::append), and never on a
-//! [`commit`](WalWriter::commit) that stages without flushing (the
-//! inside of an [`FsyncPolicy::EveryN`] group, every
-//! [`FsyncPolicy::Pipelined`] commit, and all of [`FsyncPolicy::Os`]).
+//! [`commit`](WalWriter::commit), which does not fsync under either
+//! policy.
 //! Anything that reports a durable LSN — the wire `Synced{durable_lsn}`
 //! barrier, `ReplicaStatus`, replication acks — must report this floor,
 //! **not** the appended sequence (`next_seq - 1`): a replica acking
@@ -70,38 +71,27 @@ pub const EPOCH_MARKER: u8 = 0xE5;
 
 /// When the WAL writer calls `fsync` relative to commits.
 ///
-/// Counter semantics (shared by every policy): `records` counts
+/// Counter semantics (shared by both policies): `records` counts
 /// appended records, `commits` counts [`WalWriter::commit`] calls that
 /// had staged data (i.e. logical commit *requests*, one per logged op
 /// in the service), and `fsyncs` counts actual `fdatasync` calls. Group
-/// policies amortize by making `fsyncs` ≪ `commits` — they never
-/// redefine what a commit is.
+/// commit amortizes by making `fsyncs` ≪ `commits` — it never redefines
+/// what a commit is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fdatasync` after every commit. Maximum durability: nothing
-    /// acknowledged is ever lost, at the cost of one device flush per
-    /// commit.
-    Always,
-    /// Write + `fdatasync` once every `n` commits (group durability).
-    /// Staged records accumulate in the user-space buffer and hit the
-    /// kernel in one `write` at the group boundary, so both the syscall
-    /// and the flush are amortized. A crash can lose at most the last
-    /// `n − 1` acknowledged commits; torn-tail truncation keeps the log
-    /// consistent regardless.
-    EveryN(u32),
     /// Never `fsync`; leave flushing to the OS page cache. Survives
     /// process crashes (the data is in the kernel) but not power loss.
     Os,
     /// Pipelined group commit: commits stage in the user-space buffer
-    /// (like [`FsyncPolicy::EveryN`] inside a group) and both the
-    /// `write` and the `fdatasync` are driven *externally* by a
-    /// per-core scheduler, which batches flushes across sessions and
-    /// withholds client replies until [`WalWriter::durable_seq`] covers
-    /// their record — the withheld reply, not the kernel hand-off, is
-    /// the durability contract. The parameters bound the scheduler:
-    /// flush at `max_records` appended-but-unsynced records, or when
-    /// `deadline` elapses since the oldest withheld reply, whichever is
-    /// first.
+    /// and both the `write` and the `fdatasync` are driven *externally*
+    /// by a per-core scheduler through [`WalWriter::sync`], which
+    /// batches flushes across sessions and withholds client replies
+    /// until [`WalWriter::durable_seq`] covers their record — the
+    /// withheld reply, not the kernel hand-off, is the durability
+    /// contract. The parameters bound the scheduler: flush at
+    /// `max_records` appended-but-unsynced records, or when `deadline`
+    /// elapses since the oldest withheld reply, whichever is first.
+    /// `max_records: 1` is one fsync per logged op.
     Pipelined {
         /// Unsynced-record count that forces a flush.
         max_records: u32,
@@ -249,7 +239,7 @@ pub enum WalOp {
 }
 
 /// One avoidance-broker command inside a [`WalOp::Broker`] record.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BrokerWalOp {
     /// Session opened with a broker attached (`metered` selects the
     /// software-DAA engine over the fast-path probe).
@@ -500,9 +490,9 @@ pub struct WalScan {
 
 /// Scans `bytes` as a WAL stream, returning every valid record and the
 /// length of the valid prefix. Never fails: an invalid record simply
-/// ends the valid prefix (that is the crash-recovery contract — a torn
-/// tail is data that was never acknowledged under `FsyncPolicy::Always`
-/// or was covered by the group-commit loss window otherwise).
+/// ends the valid prefix (that is the crash-recovery contract — under
+/// `FsyncPolicy::Pipelined` a torn tail is data whose reply was never
+/// released; under `FsyncPolicy::Os` it is the power-loss window).
 pub fn scan(bytes: &[u8]) -> WalScan {
     let mut records = Vec::new();
     let mut pos = 0usize;
@@ -582,7 +572,6 @@ pub struct WalWriter {
     /// epoch is assigned; bumped by promotion.
     epoch: u64,
     policy: FsyncPolicy,
-    unsynced_commits: u32,
     /// Highest sequence number known to have reached the device (the
     /// durable-LSN frontier). Baselined to the recovered tail on open:
     /// everything the scan accepted is on disk by definition.
@@ -625,7 +614,6 @@ impl WalWriter {
             next_seq,
             epoch,
             policy,
-            unsynced_commits: 0,
             durable_seq: next_seq - 1,
             records: 0,
             commits: 0,
@@ -711,42 +699,18 @@ impl WalWriter {
 
     /// Commits staged records per the fsync policy. No-op when nothing
     /// is staged. One call = one logical commit (the `commits` counter
-    /// counts requests, not device flushes); under [`FsyncPolicy::
-    /// EveryN`] the staged bytes stay in the group buffer until the
-    /// group boundary, where one `write` + one `fdatasync` covers the
-    /// whole group.
+    /// counts requests, not device flushes). Neither policy fsyncs here:
+    /// `Os` hands the bytes to the kernel and stops there for good;
+    /// `Pipelined` keeps them in the group buffer, and the scheduler's
+    /// [`sync`](Self::sync) does one `write` + one `fdatasync` per flush
+    /// and advances the durable frontier.
     pub fn commit(&mut self) -> Result<(), StoreError> {
         if self.buf.is_empty() {
             return Ok(());
         }
         self.commits += 1;
-        match self.policy {
-            FsyncPolicy::Always => {
-                self.write_out()?;
-                self.file.sync_data()?;
-                self.fsyncs += 1;
-                self.durable_seq = self.next_seq - 1;
-            }
-            FsyncPolicy::EveryN(n) => {
-                self.unsynced_commits += 1;
-                if self.unsynced_commits >= n.max(1) {
-                    self.write_out()?;
-                    self.file.sync_data()?;
-                    self.fsyncs += 1;
-                    self.durable_seq = self.next_seq - 1;
-                    self.unsynced_commits = 0;
-                }
-            }
-            // Hands the bytes to the kernel immediately and stops
-            // there for good.
-            FsyncPolicy::Os => {
-                self.write_out()?;
-            }
-            // Stays in the group buffer: the external scheduler's
-            // `sync` calls do one `write` + one `fdatasync` per flush
-            // (and advance the durable frontier), so the syscall count
-            // matches `EveryN`'s amortization.
-            FsyncPolicy::Pipelined { .. } => {}
+        if self.policy == FsyncPolicy::Os {
+            self.write_out()?;
         }
         Ok(())
     }
@@ -761,7 +725,6 @@ impl WalWriter {
         self.write_out()?;
         self.file.sync_data()?;
         self.fsyncs += 1;
-        self.unsynced_commits = 0;
         self.durable_seq = self.next_seq - 1;
         Ok(())
     }
@@ -773,7 +736,6 @@ impl WalWriter {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.file.sync_all()?;
-        self.unsynced_commits = 0;
         Ok(())
     }
 
@@ -914,14 +876,14 @@ mod tests {
         let path = tmp("roundtrip");
         let ops = sample_ops();
         {
-            let (mut w, scan) = WalWriter::open(&path, FsyncPolicy::Always).unwrap();
+            let (mut w, scan) = WalWriter::open(&path, FsyncPolicy::Os).unwrap();
             assert!(scan.records.is_empty());
             for op in &ops {
                 w.append(op);
             }
             w.commit().unwrap();
         }
-        let (w, scan) = WalWriter::open(&path, FsyncPolicy::Always).unwrap();
+        let (w, scan) = WalWriter::open(&path, FsyncPolicy::Os).unwrap();
         assert_eq!(scan.tail, WalTail::Clean);
         let replayed: Vec<WalOp> = scan.records.iter().map(|(_, _, op)| op.clone()).collect();
         assert_eq!(replayed, ops);
@@ -981,29 +943,6 @@ mod tests {
     }
 
     #[test]
-    fn every_n_batches_writes_and_fsyncs_at_the_group_boundary() {
-        let path = tmp("group");
-        let (mut w, _) = WalWriter::open(&path, FsyncPolicy::EveryN(4)).unwrap();
-        let op = WalOp::Close { session: 1 };
-        for i in 1..=3u64 {
-            w.append(&op);
-            w.commit().unwrap();
-            assert_eq!(w.commits(), i, "commits count requests");
-            assert_eq!(w.fsyncs(), 0, "flush deferred to the group boundary");
-            assert_eq!(w.durable_seq(), 0);
-        }
-        // The write syscall is deferred too: nothing reached the kernel.
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        w.append(&op);
-        w.commit().unwrap();
-        assert_eq!(w.commits(), 4);
-        assert_eq!(w.fsyncs(), 1, "one flush covers the whole group");
-        assert_eq!(w.durable_seq(), 4);
-        assert_eq!(w.unsynced_records(), 0);
-        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
-    }
-
-    #[test]
     fn pipelined_policy_defers_fsync_to_external_sync() {
         let path = tmp("pipelined");
         let policy = FsyncPolicy::Pipelined {
@@ -1057,7 +996,7 @@ mod tests {
     fn epoch_stamp_survives_reopen_and_never_regresses() {
         let path = tmp("epoch");
         {
-            let (mut w, _) = WalWriter::open(&path, FsyncPolicy::Always).unwrap();
+            let (mut w, _) = WalWriter::open(&path, FsyncPolicy::Os).unwrap();
             w.append(&WalOp::Close { session: 1 });
             w.commit().unwrap();
             w.set_epoch(3);
@@ -1069,7 +1008,7 @@ mod tests {
             w.append(&WalOp::Close { session: 3 });
             w.commit().unwrap();
         }
-        let (w, scan) = WalWriter::open(&path, FsyncPolicy::Always).unwrap();
+        let (w, scan) = WalWriter::open(&path, FsyncPolicy::Os).unwrap();
         let epochs: Vec<u64> = scan.records.iter().map(|&(_, e, _)| e).collect();
         assert_eq!(epochs, vec![0, 3, 3]);
         assert_eq!(w.epoch(), 3, "reopen resumes at the highest logged epoch");
@@ -1079,7 +1018,7 @@ mod tests {
     #[test]
     fn append_at_mirrors_primary_seqs_and_epochs() {
         let path = tmp("mirror");
-        let (mut w, _) = WalWriter::open(&path, FsyncPolicy::Always).unwrap();
+        let (mut w, _) = WalWriter::open(&path, FsyncPolicy::Os).unwrap();
         let op = WalOp::Close { session: 9 };
         // A follower applies a segment that starts past seq 1 (records
         // below the checkpoint floor were never streamed).
@@ -1087,7 +1026,7 @@ mod tests {
         w.append_at(6, 2, &op);
         w.append_at(9, 3, &op);
         w.commit().unwrap();
-        let (w2, scan) = WalWriter::open(&path, FsyncPolicy::Always).unwrap();
+        let (w2, scan) = WalWriter::open(&path, FsyncPolicy::Os).unwrap();
         let keys: Vec<(u64, u64)> = scan.records.iter().map(|&(s, e, _)| (s, e)).collect();
         assert_eq!(keys, vec![(5, 2), (6, 2), (9, 3)]);
         assert_eq!(w2.next_seq(), 10);

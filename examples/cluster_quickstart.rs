@@ -9,8 +9,7 @@ use std::time::Duration;
 use deltaos::cluster::{ClusterClient, ClusterConfig};
 use deltaos::core::{ProcId, ResId};
 use deltaos::service::{
-    CoreConfig, CoreRuntime, DurabilityConfig, Event, EventResult, FsyncPolicy, ReplicaTailer,
-    TailerConfig,
+    CoreConfig, CoreRuntime, DurabilityConfig, Event, EventResult, ReplicaTailer, TailerConfig,
 };
 
 const SHARDS: u16 = 2;
@@ -27,11 +26,7 @@ fn durable_node(dir: &std::path::Path, replica: bool) -> CoreRuntime {
     let config = CoreConfig {
         shards: SHARDS as usize,
         replica,
-        durability: Some(DurabilityConfig {
-            dir: dir.to_path_buf(),
-            fsync: FsyncPolicy::Always,
-            ..DurabilityConfig::new(dir)
-        }),
+        durability: Some(DurabilityConfig::new(dir)),
         ..CoreConfig::default()
     };
     CoreRuntime::bind("127.0.0.1:0", config).expect("bind node")
