@@ -6,7 +6,9 @@
 //! 5%, 20%) and each depth (a shallow random graph and the deep padded
 //! peel chain), the grid times forced-dense against forced-sparse
 //! [`DetectEngine`] probes, each after one toggled request edge, and the
-//! per-edit cost of keeping the sparse mirror. Each cell records the path
+//! per-edit cost of keeping the sparse mirror. The two engines' samples
+//! are interleaved, so a shift in host speed moves both alike instead
+//! of deciding the ratio. Each cell records the path
 //! [`SparseConfig::default`] picks for its shape and edge count. The
 //! acceptance check: on every cell of a shape the gate keeps a sparse
 //! mirror for (64² and up), the gate's path is within 1.25× of the
@@ -40,7 +42,7 @@
 //! where the timings mean nothing), and the 1k-node sweep case; it
 //! writes no JSON.
 
-use deltaos_bench::microbench::time;
+use deltaos_bench::microbench::{time, time_pair};
 use deltaos_core::engine::DetectEngine;
 use deltaos_core::sparse::{SparseConfig, SparseState};
 use deltaos_core::{pdda, ProcId, Rag, ResId};
@@ -84,25 +86,41 @@ fn populate(rag: &mut Rag, rng: &mut Lcg, target: usize) {
     }
 }
 
-/// Per-probe median through `engine`: each iteration toggles the
-/// request `p → q` (so the result cache never short-circuits) and
-/// probes.
-fn probe_ns(engine: &mut DetectEngine, rag: &mut Rag, (p, q): (ProcId, ResId)) -> f64 {
+/// Per-probe medians through `dense` and `sparse`, their samples
+/// interleaved by [`time_pair`] so a shift in host speed cannot skew the
+/// ratio. The toggled request `p → q` is first removed from `rag`; each
+/// engine then probes its own copy, and each iteration toggles the
+/// request there, so the result cache never short-circuits.
+fn probe_pair_ns(
+    dense: &mut DetectEngine,
+    sparse: &mut DetectEngine,
+    rag: &mut Rag,
+    (p, q): (ProcId, ResId),
+) -> (f64, f64) {
     let _ = rag.remove_request(p, q);
+    let (d, s) = time_pair(toggler(dense, rag, (p, q)), toggler(sparse, rag, (p, q)));
+    (d.median_ns, s.median_ns)
+}
+
+/// One timed iteration for `engine`: toggle `p → q` in a private copy of
+/// `rag` (a new graph identity, so the first call rebuilds the mirror
+/// during calibration) and probe.
+fn toggler<'a>(
+    engine: &'a mut DetectEngine,
+    rag: &Rag,
+    (p, q): (ProcId, ResId),
+) -> impl FnMut() + 'a {
+    let mut rag = rag.clone();
     let mut on = false;
-    let m = time(|| {
+    move || {
         if on {
             rag.remove_request(p, q);
         } else {
             rag.add_request(p, q).expect("the toggled request is valid");
         }
         on = !on;
-        std::hint::black_box(engine.probe(rag));
-    });
-    if on {
-        rag.remove_request(p, q);
+        std::hint::black_box(engine.probe(&rag));
     }
-    m.median_ns
 }
 
 struct Row {
@@ -159,8 +177,7 @@ fn bench_cell(nodes: usize, edges_per_node: f64, check_cold: bool) -> Row {
     }
 
     let toggle = (ProcId(0), ResId((m - 1) as u16));
-    let dense_ns = probe_ns(&mut dense, &mut rag, toggle);
-    let sparse_ns = probe_ns(&mut sparse, &mut rag, toggle);
+    let (dense_ns, sparse_ns) = probe_pair_ns(&mut dense, &mut sparse, &mut rag, toggle);
     let row = Row {
         nodes,
         m,
@@ -376,8 +393,7 @@ fn grid_cell(m: usize, n: usize, target_permille: f64, depth: Depth) -> GridCell
         assert!(!s.deadlock, "the deep graph is acyclic");
     }
 
-    let dense_ns = probe_ns(&mut dense, &mut rag, toggle);
-    let sparse_ns = probe_ns(&mut sparse, &mut rag, toggle);
+    let (dense_ns, sparse_ns) = probe_pair_ns(&mut dense, &mut sparse, &mut rag, toggle);
     let mut mirror = SparseState::new(m, n);
     mirror.rebuild_from_rag(&rag);
     let (p, q) = (toggle.0.index(), toggle.1.index());

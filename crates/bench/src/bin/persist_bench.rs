@@ -7,7 +7,10 @@
 //!    off (`wal_off`), under [`FsyncPolicy::Os`] (`wal_os`) and under
 //!    the service's default, [`DurabilityConfig::new`]'s pipelined group
 //!    commit (`pipelined`), driven through the runtime's in-process
-//!    [`Client`](deltaos_service::Client). Two acceptance gates: the
+//!    [`Client`](deltaos_service::Client). One drive lasts tens of
+//!    milliseconds, so each row is the median of [`THROUGHPUT_RUNS`]
+//!    drives on fresh services, printed with their spread, and the
+//!    rounds interleave the modes. Two acceptance gates: the
 //!    pipeline must group — at most one fsync per four commits, on every
 //!    host — and keep ≥ 50% of the WAL-off throughput, armed only on
 //!    hosts with ≥ 4 CPUs (below that the ratio is recorded but not
@@ -269,9 +272,54 @@ fn restart_and_verify(config: CoreConfig, live: &RunOut) -> Recovered {
     }
 }
 
+/// Drives per throughput row; the row reports the median one.
+const THROUGHPUT_RUNS: usize = 5;
+
+/// One throughput row: the median of [`THROUGHPUT_RUNS`] drives by
+/// events per second, with the slowest and fastest rates.
 struct PolicyRow {
     mode: &'static str,
     out: RunOut,
+    min_events_per_sec: f64,
+    max_events_per_sec: f64,
+}
+
+impl PolicyRow {
+    fn median(mode: &'static str, mut runs: Vec<RunOut>) -> Self {
+        runs.sort_by(|a, b| a.events_per_sec().total_cmp(&b.events_per_sec()));
+        PolicyRow {
+            mode,
+            min_events_per_sec: runs[0].events_per_sec(),
+            max_events_per_sec: runs[runs.len() - 1].events_per_sec(),
+            out: runs.swap_remove(runs.len() / 2),
+        }
+    }
+}
+
+/// Drive `round` of `mode` on a fresh service and, when `fsync` is set, a
+/// fresh WAL directory. A durable drive is restarted and checked
+/// bit-identical before its directory goes.
+fn throughput_drive(mode: &str, round: usize, drive: &Drive, fsync: Option<FsyncPolicy>) -> RunOut {
+    let Some(policy) = fsync else {
+        let config = CoreConfig {
+            loops: drive.shards,
+            shards: drive.shards,
+            ..CoreConfig::default()
+        };
+        return run(config, drive);
+    };
+    let dir = fresh_dir(&format!("{mode}-{round}"));
+    let out = run(durable_config(drive, &dir, policy, u64::MAX), drive);
+    let rec = restart_and_verify(durable_config(drive, &dir, policy, u64::MAX), &out);
+    println!(
+        "  {mode} drive {round}: {:.0} events/sec; recovery: {} records, {} sessions in {:.4}s (bit-identical)",
+        out.events_per_sec(),
+        rec.replayed_records,
+        rec.recovered_sessions,
+        rec.recovery_secs
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    out
 }
 
 fn main() {
@@ -291,30 +339,36 @@ fn main() {
     let default_fsync = DurabilityConfig::new("").fsync;
 
     // --- 1. Throughput: WAL off, then each fsync policy. -------------
-    let baseline = run(
-        CoreConfig {
-            loops: drive.shards,
-            shards: drive.shards,
-            ..CoreConfig::default()
-        },
-        drive,
-    );
-    println!(
-        "wal_off: {} events in {:.3}s -> {:.0} events/sec",
-        baseline.events,
-        baseline.elapsed_secs,
-        baseline.events_per_sec()
-    );
-
-    let mut rows: Vec<PolicyRow> = Vec::new();
-    for (label, policy) in [("wal_os", FsyncPolicy::Os), ("pipelined", default_fsync)] {
-        let dir = fresh_dir(label);
-        let out = run(durable_config(drive, &dir, policy, u64::MAX), drive);
+    let modes = [
+        ("wal_off", None),
+        ("wal_os", Some(FsyncPolicy::Os)),
+        ("pipelined", Some(default_fsync)),
+    ];
+    // Each round drives every mode once, so a shift in host speed moves
+    // all rows alike instead of deciding their ratio.
+    let mut drives: Vec<Vec<RunOut>> = modes.iter().map(|_| Vec::new()).collect();
+    for round in 0..THROUGHPUT_RUNS {
+        for ((mode, fsync), runs) in modes.iter().zip(&mut drives) {
+            runs.push(throughput_drive(mode, round, drive, *fsync));
+        }
+    }
+    let rows: Vec<PolicyRow> = modes
+        .iter()
+        .zip(drives)
+        .map(|((mode, _), runs)| PolicyRow::median(mode, runs))
+        .collect();
+    for row in &rows {
+        let mode = row.mode;
+        let out = &row.out;
         println!(
-            "{label}: {} events in {:.3}s -> {:.0} events/sec ({} records, {} commits, {} fsyncs)",
+            "{mode}: {} events in {:.3}s -> {:.0} events/sec, median of {THROUGHPUT_RUNS} drives \
+             (spread {:.0}..{:.0}, {:.1}% of the median) ({} records, {} commits, {} fsyncs)",
             out.events,
             out.elapsed_secs,
             out.events_per_sec(),
+            row.min_events_per_sec,
+            row.max_events_per_sec,
+            100.0 * (row.max_events_per_sec - row.min_events_per_sec) / out.events_per_sec(),
             out.wal_records,
             out.commits,
             out.fsyncs
@@ -330,15 +384,8 @@ fn main() {
                 out.pipeline_commit_p99_us
             );
         }
-        // Determinism check rides along on every durable run.
-        let rec = restart_and_verify(durable_config(drive, &dir, policy, u64::MAX), &out);
-        println!(
-            "  recovery: {} records, {} sessions in {:.4}s (bit-identical)",
-            rec.replayed_records, rec.recovered_sessions, rec.recovery_secs
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        rows.push(PolicyRow { mode: label, out });
     }
+    let baseline = &rows[0].out;
 
     // --- 2. Recovery time vs checkpoint interval. --------------------
     struct RecoveryRow {
@@ -402,13 +449,9 @@ fn main() {
     }
 
     // --- JSON emission. ----------------------------------------------
-    let throughput_rows: Vec<String> = std::iter::once(format!(
-        "    {{\"mode\": \"wal_off\", \"events\": {}, \"elapsed_secs\": {:.3}, \"events_per_sec\": {:.0}}}",
-        baseline.events,
-        baseline.elapsed_secs,
-        baseline.events_per_sec()
-    ))
-    .chain(rows.iter().map(|r| {
+    let throughput_rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
         let pipeline = if r.mode == "pipelined" {
             format!(
                 ", \"flushes\": {}, \"flush_max_records\": {}, \"withheld_peak\": {}, \"commit_p50_us\": {}, \"commit_p99_us\": {}",
@@ -422,18 +465,20 @@ fn main() {
             String::new()
         };
         format!(
-            "    {{\"mode\": \"{}\", \"events\": {}, \"elapsed_secs\": {:.3}, \"events_per_sec\": {:.0}, \"wal_records\": {}, \"commits\": {}, \"fsyncs\": {}{}}}",
+            "    {{\"mode\": \"{}\", \"runs\": {THROUGHPUT_RUNS}, \"events\": {}, \"elapsed_secs\": {:.3}, \"events_per_sec\": {:.0}, \"events_per_sec_min\": {:.0}, \"events_per_sec_max\": {:.0}, \"wal_records\": {}, \"commits\": {}, \"fsyncs\": {}{}}}",
             r.mode,
             r.out.events,
             r.out.elapsed_secs,
             r.out.events_per_sec(),
+            r.min_events_per_sec,
+            r.max_events_per_sec,
             r.out.wal_records,
             r.out.commits,
             r.out.fsyncs,
             pipeline
         )
-    }))
-    .collect();
+        })
+        .collect();
     let recovery_rows: Vec<String> = sweep
         .iter()
         .map(|row| {

@@ -28,8 +28,33 @@ pub struct Measurement {
 
 /// Times `f`, batching iterations so timer overhead is negligible.
 pub fn time<F: FnMut()>(mut f: F) -> Measurement {
-    // Warm-up + calibration: grow the batch until one batch costs
-    // ~SAMPLE_TARGET (or the batch is clearly long enough to time).
+    let iters = calibrate(&mut f);
+    summarize((0..SAMPLES).map(|_| sample(&mut f, iters)).collect(), iters)
+}
+
+/// Times `a` and `b` with their samples interleaved. Each body is
+/// calibrated on its own; then every sample round times one batch of
+/// each, alternating which goes first. A shift in host speed during the
+/// run then moves both medians alike instead of skewing their ratio.
+pub fn time_pair<A: FnMut(), B: FnMut()>(mut a: A, mut b: B) -> (Measurement, Measurement) {
+    let (iters_a, iters_b) = (calibrate(&mut a), calibrate(&mut b));
+    let (mut samples_a, mut samples_b) = (Vec::new(), Vec::new());
+    for round in 0..SAMPLES {
+        if round % 2 == 0 {
+            samples_a.push(sample(&mut a, iters_a));
+            samples_b.push(sample(&mut b, iters_b));
+        } else {
+            samples_b.push(sample(&mut b, iters_b));
+            samples_a.push(sample(&mut a, iters_a));
+        }
+    }
+    (summarize(samples_a, iters_a), summarize(samples_b, iters_b))
+}
+
+/// Warm-up + calibration: grows the batch until one batch costs
+/// ~SAMPLE_TARGET (or the batch is clearly long enough to time), and
+/// returns its iteration count.
+fn calibrate<F: FnMut()>(f: &mut F) -> u64 {
     let mut iters: u64 = 1;
     loop {
         let t0 = Instant::now();
@@ -38,27 +63,30 @@ pub fn time<F: FnMut()>(mut f: F) -> Measurement {
         }
         let dt = t0.elapsed();
         if dt >= SAMPLE_TARGET || iters >= 1 << 24 {
-            break;
+            return iters;
         }
         // Aim straight for the target from the observed rate.
         let per_iter = dt.as_nanos().max(1) as u64 / iters.max(1);
         iters = (SAMPLE_TARGET.as_nanos() as u64 / per_iter.max(1)).clamp(iters * 2, 1 << 24);
     }
+}
 
-    let mut per_iter_ns: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            t0.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
+/// Nanoseconds per iteration over one batch of `iters` calls.
+fn sample<F: FnMut()>(f: &mut F, iters: u64) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    t0.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// The median and minimum of one benchmark's samples.
+fn summarize(mut per_iter_ns: Vec<f64>, iters_per_sample: u64) -> Measurement {
     per_iter_ns.sort_by(|a, b| a.total_cmp(b));
     Measurement {
-        median_ns: per_iter_ns[SAMPLES / 2],
+        median_ns: per_iter_ns[per_iter_ns.len() / 2],
         min_ns: per_iter_ns[0],
-        iters_per_sample: iters,
+        iters_per_sample,
     }
 }
 
@@ -83,12 +111,7 @@ where
         }
         samples.push(t0.elapsed().as_nanos() as f64 / INNER as f64);
     }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    Measurement {
-        median_ns: samples[SAMPLES / 2],
-        min_ns: samples[0],
-        iters_per_sample: INNER as u64,
-    }
+    summarize(samples, INNER as u64)
 }
 
 /// Runs and prints one benchmark line.
@@ -124,5 +147,15 @@ mod tests {
         });
         assert!(m.median_ns >= 0.0);
         assert!(m.iters_per_sample >= 1);
+    }
+
+    #[test]
+    fn time_pair_runs_both_bodies_every_round() {
+        let (mut calls_a, mut calls_b) = (0u64, 0u64);
+        let (a, b) = super::time_pair(|| calls_a += 1, || calls_b += 1);
+        // Calibration plus SAMPLES batches each.
+        assert!(calls_a >= a.iters_per_sample * super::SAMPLES as u64);
+        assert!(calls_b >= b.iters_per_sample * super::SAMPLES as u64);
+        assert!(a.min_ns <= a.median_ns && b.min_ns <= b.median_ns);
     }
 }

@@ -16,11 +16,14 @@
 //!   [`StateMatrix::from_rag`] remains the cold path, used only when the
 //!   journal no longer reaches back far enough (or the graph identity
 //!   changed).
-//! * Dirty-row / dirty-column sets record which parts of the mirror each
-//!   sync touched; flushing them refreshes the `row_nonempty` bookkeeping
-//!   that seeds the reduction's row worklist *and* the non-empty
-//!   column-word list that lets the terminal-column mask skip all-empty
-//!   words, so probe cost tracks the *edit* size, not the matrix size.
+//! * One **occupancy index** counts the edges of every row and column
+//!   and lists the non-empty ones. Every cell write goes through one
+//!   choke point that updates the counts and, when a count moves between
+//!   0 and 1, the list — so the index is exact after every write path
+//!   (delta sync, the DDU's direct cell writes, rebuilds) with nothing to
+//!   flush. The row list seeds the reduction's worklist (the column list
+//!   seeds the transposed one), so probe cost tracks the *live* rows, not
+//!   the matrix size.
 //! * The reduction itself runs over an active-row worklist with scratch
 //!   buffers owned by the engine ([`ReduceScratch`]) and a working matrix
 //!   reused probe to probe — zero allocations on the steady-state path.
@@ -61,10 +64,6 @@ pub struct EngineStats {
     pub full_rebuilds: u64,
     /// Terminal reductions actually executed.
     pub reductions: u64,
-    /// Row-word × pass combinations the column-sided worklist removed
-    /// from the terminal-column mask scan (words whose columns were all
-    /// empty at probe time).
-    pub col_words_skipped: u64,
     /// Reductions served by the dense word-parallel engine (row- or
     /// column-major). `dense_reductions + sparse_reductions ==
     /// reductions`.
@@ -119,56 +118,18 @@ pub struct DetectEngine {
     work: StateMatrix,
     /// Reusable reduction scratch (col masks, BWO accumulators, worklist).
     scratch: ReduceScratch,
-    /// `row_nonempty[s]` ⟺ mirror row `s` carries at least one edge.
-    /// Maintained lazily through the dirty-row set.
-    row_nonempty: Vec<bool>,
-    /// Dense list of the non-empty mirror rows — the reduction's seed
-    /// worklist, maintained incrementally by [`DetectEngine::flush_dirty`]
+    /// Occupancy of the mirror's rows; the live list seeds the reduction,
     /// so a probe never scans all `m` rows.
-    live_rows: Vec<u32>,
-    /// `live_pos[s]` = index of row `s` in `live_rows` (`u32::MAX` when
-    /// the row is empty); makes membership updates O(1) via swap-remove.
-    live_pos: Vec<u32>,
+    rows: Occupancy,
+    /// Occupancy of the mirror's columns; the live list seeds the
+    /// column-major reduction. Kept while that path is off too, so
+    /// turning it on needs no rescan.
+    cols: Occupancy,
     /// Rows the last reduction left non-empty in `work` (the irreducible
     /// residue). Clearing exactly these restores `work` to all-zeros, so
     /// the next probe copies only the live rows instead of the whole
     /// mirror.
     work_residue: Vec<u32>,
-    /// Rows touched since the last flush (set + dense list).
-    dirty_rows: Vec<bool>,
-    dirty_row_list: Vec<u32>,
-    /// Columns touched since the last flush (set + dense list), the
-    /// column-sided twin of the dirty-row set.
-    dirty_cols: Vec<bool>,
-    dirty_col_list: Vec<u32>,
-    /// `col_nonempty[t]` ⟺ mirror column `t` carries at least one edge.
-    /// Maintained lazily through the dirty-column set.
-    col_nonempty: Vec<bool>,
-    /// Per row-word count of non-empty columns packed into that word.
-    word_col_count: Vec<u32>,
-    /// Dense list of row-words with ≥1 non-empty column — the
-    /// column-sided worklist fed to the reduction so the terminal-column
-    /// mask never scans words that are provably all-empty.
-    live_col_words: Vec<u32>,
-    /// `live_col_word_pos[w]` = index of word `w` in `live_col_words`
-    /// (`u32::MAX` when absent); O(1) membership via swap-remove.
-    live_col_word_pos: Vec<u32>,
-    /// Dense list of the non-empty mirror columns — the transposed
-    /// reduction's row worklist when the column-major path is active.
-    /// Maintained unconditionally (transitions are O(1)) so flipping the
-    /// path on never needs a rescan.
-    live_cols: Vec<u32>,
-    /// `live_col_pos[t]` = index of column `t` in `live_cols`
-    /// (`u32::MAX` when empty).
-    live_col_pos: Vec<u32>,
-    /// Per column-word (rows / 64) count of non-empty rows packed into
-    /// that word — the transposed twin of `word_col_count`, feeding the
-    /// column-word seed of the transposed reduction.
-    word_row_count: Vec<u32>,
-    /// Dense list of column-words with ≥1 non-empty row.
-    live_row_words: Vec<u32>,
-    /// `live_row_word_pos[w]` = index of word `w` in `live_row_words`.
-    live_row_word_pos: Vec<u32>,
     /// Shared worker pool for the sharded reduction path, if any. One
     /// pool serves many engines (e.g. every session of a service shard).
     par_pool: Option<Arc<WorkerPool>>,
@@ -195,14 +156,6 @@ pub struct DetectEngine {
     /// Live edges in the mirror, maintained O(1) per cell write — the
     /// density input of the hybrid dispatch.
     live_edges: u64,
-    /// Per-row and per-column edge counts, maintained O(1) per cell
-    /// write. These make the row/column occupancy transitions in
-    /// [`DetectEngine::flush_dirty`] O(1) lookups — the bitmap scans
-    /// (`col_is_empty` walks one bit of all `m` rows) would otherwise
-    /// put an O(m) cache-hostile stride on every probe that touched a
-    /// column, dwarfing the sparse reduction itself at large shapes.
-    row_edges: Vec<u32>,
-    col_edges: Vec<u32>,
     /// What the mirror currently holds.
     version: Version,
     /// Monotonic counter for direct (DDU-style) cell edits.
@@ -232,8 +185,6 @@ impl DetectEngine {
         pool: Option<Arc<WorkerPool>>,
         cfg: ParConfig,
     ) -> Self {
-        let words = processes.div_ceil(64);
-        let row_words = resources.div_ceil(64);
         let colmajor = cfg.wants_colmajor(resources, processes);
         let sparse_cfg = SparseConfig::default();
         let sparse = sparse_cfg
@@ -243,23 +194,9 @@ impl DetectEngine {
             mirror: StateMatrix::new(resources, processes),
             work: StateMatrix::new(resources, processes),
             scratch: ReduceScratch::new(),
-            row_nonempty: vec![false; resources],
-            live_rows: Vec::with_capacity(resources),
-            live_pos: vec![u32::MAX; resources],
+            rows: Occupancy::new(resources),
+            cols: Occupancy::new(processes),
             work_residue: Vec::with_capacity(resources),
-            dirty_rows: vec![false; resources],
-            dirty_row_list: Vec::new(),
-            dirty_cols: vec![false; processes],
-            dirty_col_list: Vec::new(),
-            col_nonempty: vec![false; processes],
-            word_col_count: vec![0; words],
-            live_col_words: Vec::with_capacity(words),
-            live_col_word_pos: vec![u32::MAX; words],
-            live_cols: Vec::with_capacity(processes),
-            live_col_pos: vec![u32::MAX; processes],
-            word_row_count: vec![0; row_words],
-            live_row_words: Vec::with_capacity(row_words),
-            live_row_word_pos: vec![u32::MAX; row_words],
             par_pool: pool,
             par_cfg: cfg,
             colmajor,
@@ -270,8 +207,6 @@ impl DetectEngine {
             sparse_cfg,
             sparse,
             live_edges: 0,
-            row_edges: vec![0; resources],
-            col_edges: vec![0; processes],
             version: Version::Local { edits: 0 },
             edits: 0,
             cache: None,
@@ -394,98 +329,6 @@ impl DetectEngine {
         }
     }
 
-    #[inline]
-    fn mark_dirty(&mut self, q: ResId, p: ProcId) {
-        if !self.dirty_rows[q.index()] {
-            self.dirty_rows[q.index()] = true;
-            self.dirty_row_list.push(q.index() as u32);
-        }
-        if !self.dirty_cols[p.index()] {
-            self.dirty_cols[p.index()] = true;
-            self.dirty_col_list.push(p.index() as u32);
-        }
-    }
-
-    /// Refreshes `row_nonempty` and the `live_rows` worklist for the rows
-    /// touched since the last flush, then forgets the dirty sets.
-    fn flush_dirty(&mut self) {
-        while let Some(s) = self.dirty_row_list.pop() {
-            let s = s as usize;
-            self.dirty_rows[s] = false;
-            let nonempty = self.row_edges[s] > 0;
-            debug_assert_eq!(nonempty, !self.mirror.row_is_empty(s));
-            if nonempty == self.row_nonempty[s] {
-                continue;
-            }
-            self.row_nonempty[s] = nonempty;
-            let w = s / 64;
-            if nonempty {
-                self.live_pos[s] = self.live_rows.len() as u32;
-                self.live_rows.push(s as u32);
-                self.word_row_count[w] += 1;
-                if self.word_row_count[w] == 1 {
-                    self.live_row_word_pos[w] = self.live_row_words.len() as u32;
-                    self.live_row_words.push(w as u32);
-                }
-            } else {
-                let i = self.live_pos[s] as usize;
-                self.live_pos[s] = u32::MAX;
-                self.live_rows.swap_remove(i);
-                if let Some(&moved) = self.live_rows.get(i) {
-                    self.live_pos[moved as usize] = i as u32;
-                }
-                self.word_row_count[w] -= 1;
-                if self.word_row_count[w] == 0 {
-                    let i = self.live_row_word_pos[w] as usize;
-                    self.live_row_word_pos[w] = u32::MAX;
-                    self.live_row_words.swap_remove(i);
-                    if let Some(&moved) = self.live_row_words.get(i) {
-                        self.live_row_word_pos[moved as usize] = i as u32;
-                    }
-                }
-            }
-        }
-        while let Some(t) = self.dirty_col_list.pop() {
-            let t = t as usize;
-            self.dirty_cols[t] = false;
-            let nonempty = self.col_edges[t] > 0;
-            debug_assert_eq!(nonempty, !self.mirror.col_is_empty(t));
-            if nonempty == self.col_nonempty[t] {
-                continue;
-            }
-            self.col_nonempty[t] = nonempty;
-            if nonempty {
-                self.live_col_pos[t] = self.live_cols.len() as u32;
-                self.live_cols.push(t as u32);
-            } else {
-                let i = self.live_col_pos[t] as usize;
-                self.live_col_pos[t] = u32::MAX;
-                self.live_cols.swap_remove(i);
-                if let Some(&moved) = self.live_cols.get(i) {
-                    self.live_col_pos[moved as usize] = i as u32;
-                }
-            }
-            let w = t / 64;
-            if nonempty {
-                self.word_col_count[w] += 1;
-                if self.word_col_count[w] == 1 {
-                    self.live_col_word_pos[w] = self.live_col_words.len() as u32;
-                    self.live_col_words.push(w as u32);
-                }
-            } else {
-                self.word_col_count[w] -= 1;
-                if self.word_col_count[w] == 0 {
-                    let i = self.live_col_word_pos[w] as usize;
-                    self.live_col_word_pos[w] = u32::MAX;
-                    self.live_col_words.swap_remove(i);
-                    if let Some(&moved) = self.live_col_words.get(i) {
-                        self.live_col_word_pos[moved as usize] = i as u32;
-                    }
-                }
-            }
-        }
-    }
-
     fn bump_local(&mut self) {
         self.edits += 1;
         self.version = Version::Local { edits: self.edits };
@@ -494,9 +337,9 @@ impl DetectEngine {
     /// Writes one cell into the mirror — and, when the column-major path
     /// is live, the transposed cell into `mirror_t` (same O(1) cost; the
     /// axes swap, so the id wrappers swap roles too). The live-edge
-    /// count and the sparse adjacency mirror ride the same choke point,
-    /// so every write path (delta sync, DDU cell writes, rebuilds'
-    /// per-edge inserts) keeps them current.
+    /// count, the occupancy index and the sparse adjacency mirror ride
+    /// the same choke point, so delta syncs and the DDU's cell writes
+    /// keep them current; a full rebuild re-indexes wholesale.
     #[inline]
     fn write_cell(&mut self, q: ResId, p: ProcId, delta: RagDelta) {
         let had = self.mirror.cell(q, p) != Cell::Empty;
@@ -509,13 +352,13 @@ impl DetectEngine {
         match (had, has) {
             (false, true) => {
                 self.live_edges += 1;
-                self.row_edges[q.0 as usize] += 1;
-                self.col_edges[p.0 as usize] += 1;
+                self.rows.add(q.index());
+                self.cols.add(p.index());
             }
             (true, false) => {
                 self.live_edges -= 1;
-                self.row_edges[q.0 as usize] -= 1;
-                self.col_edges[p.0 as usize] -= 1;
+                self.rows.remove(q.index());
+                self.cols.remove(p.index());
             }
             _ => {}
         }
@@ -530,7 +373,6 @@ impl DetectEngine {
                 RagDelta::Clear { .. } => t.clear(tq, tp),
             }
         }
-        self.mark_dirty(q, p);
     }
 
     /// Direct cell write (the DDU's bus interface): request edge `p → q`.
@@ -576,89 +418,15 @@ impl DetectEngine {
     /// the cold path, with no allocation beyond what the engine owns.
     fn full_rebuild(&mut self, rag: &Rag) {
         self.mirror.fill_empty();
-        for qi in 0..rag.resources() {
-            let q = ResId(qi as u16);
-            if let Some(p) = rag.owner(q) {
-                self.mirror.set_grant(q, p);
-            }
-            for &p in rag.requesters(q) {
-                self.mirror.set_request(p, q);
-            }
-        }
+        self.mirror.add_rag_edges(rag);
         if let Some(t) = self.mirror_t.as_mut() {
             self.mirror.transpose_into(t);
         }
         if let Some(sp) = self.sparse.as_mut() {
             sp.rebuild_from_rag(rag);
         }
-        // Everything moved: recompute row and column occupancy wholesale
-        // and drop any finer-grained dirty tracking. One word pass over
-        // the mirror refreshes the edge counts — O(area/64 + edges), not
-        // the O(n·m) a per-column bitmap scan would cost.
-        self.row_edges.fill(0);
-        self.col_edges.fill(0);
-        self.live_edges = 0;
-        for s in 0..self.resources() {
-            let (rw, gw) = (self.mirror.row_r(s), self.mirror.row_g(s));
-            let mut row_count = 0u32;
-            for (w, (&r, &g)) in rw.iter().zip(gw.iter()).enumerate() {
-                // Request and grant bits are disjoint per cell (writes
-                // replace), so one OR covers both planes.
-                let mut bits = r | g;
-                row_count += bits.count_ones();
-                while bits != 0 {
-                    let t = w * 64 + bits.trailing_zeros() as usize;
-                    self.col_edges[t] += 1;
-                    bits &= bits - 1;
-                }
-            }
-            self.row_edges[s] = row_count;
-            self.live_edges += u64::from(row_count);
-        }
-        debug_assert_eq!(self.live_edges, self.mirror.edge_count() as u64);
-        self.live_rows.clear();
-        self.live_row_words.clear();
-        self.live_row_word_pos.fill(u32::MAX);
-        self.word_row_count.fill(0);
-        for s in 0..self.resources() {
-            let nonempty = self.row_edges[s] > 0;
-            self.row_nonempty[s] = nonempty;
-            if nonempty {
-                self.live_pos[s] = self.live_rows.len() as u32;
-                self.live_rows.push(s as u32);
-                let w = s / 64;
-                self.word_row_count[w] += 1;
-                if self.word_row_count[w] == 1 {
-                    self.live_row_word_pos[w] = self.live_row_words.len() as u32;
-                    self.live_row_words.push(w as u32);
-                }
-            } else {
-                self.live_pos[s] = u32::MAX;
-            }
-        }
-        self.live_col_words.clear();
-        self.live_col_word_pos.fill(u32::MAX);
-        self.word_col_count.fill(0);
-        self.live_cols.clear();
-        self.live_col_pos.fill(u32::MAX);
-        for t in 0..self.processes() {
-            let nonempty = self.col_edges[t] > 0;
-            self.col_nonempty[t] = nonempty;
-            if nonempty {
-                self.live_col_pos[t] = self.live_cols.len() as u32;
-                self.live_cols.push(t as u32);
-                let w = t / 64;
-                self.word_col_count[w] += 1;
-                if self.word_col_count[w] == 1 {
-                    self.live_col_word_pos[w] = self.live_col_words.len() as u32;
-                    self.live_col_words.push(w as u32);
-                }
-            }
-        }
-        self.dirty_rows.fill(false);
-        self.dirty_row_list.clear();
-        self.dirty_cols.fill(false);
-        self.dirty_col_list.clear();
+        // Everything moved: re-index the mirror wholesale.
+        self.live_edges = index_mirror(&self.mirror, &mut self.rows, &mut self.cols);
         self.stats.full_rebuilds += 1;
     }
 
@@ -704,19 +472,35 @@ impl DetectEngine {
             self.mirror,
             {
                 let mut full = StateMatrix::new(self.resources(), self.processes());
-                for qi in 0..rag.resources() {
-                    let q = ResId(qi as u16);
-                    if let Some(p) = rag.owner(q) {
-                        full.set_grant(q, p);
-                    }
-                    for &p in rag.requesters(q) {
-                        full.set_request(p, q);
-                    }
-                }
+                full.add_rag_edges(rag);
                 full
             },
             "delta-synced mirror diverged from the graph"
         );
+    }
+
+    /// Panics unless the occupancy index matches the mirror's bits: the
+    /// counts, and the live lists as sets with consistent positions.
+    /// Debug builds run it before every reduction.
+    fn check_occupancy(&self) {
+        let mut exact = [self.resources(), self.processes()].map(Occupancy::new);
+        let [rows, cols] = &mut exact;
+        let edges = index_mirror(&self.mirror, rows, cols);
+        assert_eq!(self.live_edges, edges, "live-edge count diverged");
+        let sorted = |o: &Occupancy| {
+            let mut live = o.live.clone();
+            live.sort_unstable();
+            live
+        };
+        for (got, want) in [&self.rows, &self.cols].into_iter().zip(&exact) {
+            assert_eq!(
+                (&got.edges, sorted(got)),
+                (&want.edges, sorted(want)),
+                "occupancy index diverged from the mirror"
+            );
+            let placed = |(at, &i): (usize, &u32)| got.pos[i as usize] == at as u32;
+            assert!(got.live.iter().enumerate().all(placed), "misplaced line");
+        }
     }
 
     /// Reduces the current mirror state, consulting the result cache.
@@ -728,7 +512,9 @@ impl DetectEngine {
                 return outcome;
             }
         }
-        self.flush_dirty();
+        if cfg!(debug_assertions) {
+            self.check_occupancy();
+        }
         // Hybrid dispatch: the gate compares the live-edge count with
         // the dense engine's per-pass work for this shape (see
         // `SparseConfig`); paper scale always stays dense. The decision
@@ -742,11 +528,6 @@ impl DetectEngine {
                 sp.live_edges(),
                 self.live_edges,
                 "sparse mirror edge count diverged from the engine's"
-            );
-            debug_assert_eq!(
-                self.live_edges,
-                self.mirror.edge_count() as u64,
-                "engine live-edge count diverged from the mirror"
             );
             let report = sp.reduce();
             self.stats.sparse_reductions += 1;
@@ -770,50 +551,33 @@ impl DetectEngine {
             // `reduction::terminal_reduction_with`), so verdict,
             // `iterations` and `steps` are identical — but each pass
             // walks `n` short rows instead of `m` tall ones.
-            #[cfg(debug_assertions)]
-            {
-                let mut t = StateMatrix::new(self.processes(), self.resources());
-                self.mirror.transpose_into(&mut t);
-                let maintained = self.mirror_t.as_ref().expect("colmajor without mirror_t");
-                if &t != maintained {
-                    for ti in 0..t.resources() {
-                        for si in 0..t.processes() {
-                            let (q, p) = (crate::ResId(ti as u16), crate::ProcId(si as u16));
-                            if t.cell(q, p) != maintained.cell(q, p) {
-                                panic!(
-                                    "transposed mirror diverged at t-cell ({ti},{si}): \
-                                     expected {:?}, maintained {:?}",
-                                    t.cell(q, p),
-                                    maintained.cell(q, p)
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+            debug_assert!(
+                self.mirror_t.as_ref().is_some_and(|maintained| {
+                    let mut t = StateMatrix::new(self.processes(), self.resources());
+                    self.mirror.transpose_into(&mut t);
+                    t == *maintained
+                }),
+                "transposed mirror diverged from the mirror"
+            );
             let mirror_t = self.mirror_t.as_ref().expect("colmajor without mirror_t");
             let work_t = self.work_t.as_mut().expect("colmajor without work_t");
             for &t in &self.work_t_residue {
                 work_t.clear_row(t as usize);
             }
             self.work_t_residue.clear();
-            for &t in &self.live_cols {
+            for &t in &self.cols.live {
                 work_t.copy_row_from(mirror_t, t as usize);
             }
-            // Seeds transpose along with the matrix: live columns become
-            // the row worklist, live row-words the column-word worklist.
+            // The seed transposes along with the matrix: live columns
+            // become the row worklist.
             let report = reduce_core(
                 work_t,
                 &mut self.scratch_t,
-                Some(&self.live_cols),
-                Some(&self.live_row_words),
+                Some(&self.cols.live),
                 par.as_ref(),
             );
             self.work_t_residue
                 .extend_from_slice(self.scratch_t.residue());
-            let words_t = self.resources().div_ceil(64);
-            self.stats.col_words_skipped +=
-                (words_t - self.live_row_words.len()) as u64 * u64::from(report.steps);
             report
         } else {
             // `work` is all-zero outside the residue rows the previous
@@ -823,20 +587,16 @@ impl DetectEngine {
                 self.work.clear_row(s as usize);
             }
             self.work_residue.clear();
-            for &s in &self.live_rows {
+            for &s in &self.rows.live {
                 self.work.copy_row_from(&self.mirror, s as usize);
             }
             let report = reduce_core(
                 &mut self.work,
                 &mut self.scratch,
-                Some(&self.live_rows),
-                Some(&self.live_col_words),
+                Some(&self.rows.live),
                 par.as_ref(),
             );
             self.work_residue.extend_from_slice(self.scratch.residue());
-            let words = self.mirror.words_per_row();
-            self.stats.col_words_skipped +=
-                (words - self.live_col_words.len()) as u64 * u64::from(report.steps);
             report
         };
         self.stats.dense_reductions += 1;
@@ -893,6 +653,86 @@ impl DetectEngine {
         self.stats = stats;
         self.cache = cached.map(|outcome| (self.version, outcome));
     }
+}
+
+/// One axis of the occupancy index: each line's (row's or column's) edge
+/// count, and the list of the non-empty lines, which a line joins or
+/// leaves in O(1) when its count moves between 0 and 1.
+#[derive(Debug, Clone)]
+struct Occupancy {
+    /// Edges per line.
+    edges: Vec<u32>,
+    /// The non-empty lines, in no particular order.
+    live: Vec<u32>,
+    /// `pos[i]` = index of line `i` in `live` (`u32::MAX` when the line
+    /// is empty); makes removal O(1) by swap-remove.
+    pos: Vec<u32>,
+}
+
+impl Occupancy {
+    fn new(lines: usize) -> Self {
+        Occupancy {
+            edges: vec![0; lines],
+            live: Vec::with_capacity(lines),
+            pos: vec![u32::MAX; lines],
+        }
+    }
+
+    /// One more edge on line `i`.
+    #[inline]
+    fn add(&mut self, i: usize) {
+        self.edges[i] += 1;
+        if self.edges[i] == 1 {
+            self.pos[i] = self.live.len() as u32;
+            self.live.push(i as u32);
+        }
+    }
+
+    /// One edge fewer on line `i`.
+    #[inline]
+    fn remove(&mut self, i: usize) {
+        self.edges[i] -= 1;
+        if self.edges[i] == 0 {
+            let at = self.pos[i] as usize;
+            self.pos[i] = u32::MAX;
+            self.live.swap_remove(at);
+            if let Some(&moved) = self.live.get(at) {
+                self.pos[moved as usize] = at as u32;
+            }
+        }
+    }
+
+    /// Empties every line, in O(live lines).
+    fn clear(&mut self) {
+        for &i in &self.live {
+            self.edges[i as usize] = 0;
+            self.pos[i as usize] = u32::MAX;
+        }
+        self.live.clear();
+    }
+}
+
+/// Rebuilds `rows` and `cols` from the bits of `mirror` in one word pass
+/// — O(live lines + area/64 + edges), not the O(n·m) of a per-column
+/// bitmap scan — and returns the edge count.
+fn index_mirror(mirror: &StateMatrix, rows: &mut Occupancy, cols: &mut Occupancy) -> u64 {
+    rows.clear();
+    cols.clear();
+    let mut edges = 0;
+    for s in 0..mirror.resources() {
+        for (w, (&r, &g)) in mirror.row_r(s).iter().zip(mirror.row_g(s)).enumerate() {
+            // Request and grant bits are disjoint per cell (writes
+            // replace), so one OR covers both planes.
+            let mut bits = r | g;
+            while bits != 0 {
+                rows.add(s);
+                cols.add(w * 64 + bits.trailing_zeros() as usize);
+                edges += 1;
+                bits &= bits - 1;
+            }
+        }
+    }
+    edges
 }
 
 #[cfg(test)]
@@ -1129,6 +969,79 @@ mod tests {
         e.probe(&Rag::new(5, 5));
         assert_eq!(e.stats().dense_reductions, 1);
         assert_eq!(e.stats().sparse_reductions, 0);
+    }
+
+    #[test]
+    fn occupancy_index_is_exact_after_every_write_path() {
+        // Tall enough for the column-major path, with rows in three words.
+        let (m, n) = (130, 16);
+        let mut e = DetectEngine::new(m, n);
+        // DDU direct cell writes: insert, overwrite in place, clear.
+        for (qi, pi, op) in [(0, 0, 'g'), (0, 1, 'r'), (129, 1, 'r'), (0, 1, 'g')]
+            .into_iter()
+            .chain([(0, 0, 'c'), (129, 1, 'c'), (0, 1, 'c'), (5, 5, 'g')])
+        {
+            match op {
+                'g' => e.set_grant(q(qi), p(pi)),
+                'r' => e.set_request(p(pi), q(qi)),
+                _ => e.clear(q(qi), p(pi)),
+            }
+            e.check_occupancy();
+        }
+        let sync = |e: &mut DetectEngine, rag: &Rag| {
+            assert_eq!(e.probe(rag), detect_cold(rag));
+            e.check_occupancy();
+        };
+        // First contact with a graph: a full rebuild over the local edit.
+        let mut rag = Rag::new(m, n);
+        for i in 0..12 {
+            rag.add_grant(q(i * 10), p(i)).unwrap();
+            rag.add_request(p(i + 1), q(i * 10)).unwrap();
+        }
+        sync(&mut e, &rag);
+        // Delta sync: empty a row and a column, fill new ones.
+        rag.remove_grant(q(0), p(0)).unwrap();
+        rag.add_grant(q(129), p(14)).unwrap();
+        sync(&mut e, &rag);
+        // Journal overflow: the gap outruns the journal.
+        for _ in 0..300 {
+            rag.add_request(p(0), q(127)).unwrap();
+            assert!(rag.remove_request(p(0), q(127)));
+        }
+        rag.remove_grant(q(10), p(1)).unwrap();
+        sync(&mut e, &rag);
+        // Graph identity change: a clone has a new id.
+        let mut rag = rag.clone();
+        rag.add_grant(q(64), p(9)).unwrap();
+        sync(&mut e, &rag);
+        assert_eq!((e.stats().full_rebuilds, e.stats().delta_syncs), (3, 1));
+        // `set_parallel` turns the column-major path on: its reduction
+        // seeds from the live columns, which later syncs keep exact.
+        let cfg = ParConfig {
+            colmajor_ratio: 8,
+            colmajor_min_area: 0,
+            ..ParConfig::default()
+        };
+        e.set_parallel(None, cfg);
+        assert!(e.is_colmajor());
+        e.check_occupancy();
+        for i in 0..4 {
+            rag.add_request(p(i), q(100 + i)).unwrap();
+            rag.remove_grant(q(i * 10 + 30), p(i + 3)).unwrap();
+            sync(&mut e, &rag);
+        }
+        // Restore over an engine holding other cells.
+        let mut restored = DetectEngine::new(m, n);
+        restored.set_request(p(2), q(2));
+        restored.restore(&rag, e.stats(), None);
+        sync(&mut restored, &rag);
+        // `ensure_dims` reshapes to an empty index of the new size.
+        e.ensure_dims(70, 200);
+        e.check_occupancy();
+        let mut wide = Rag::new(70, 200);
+        wide.add_grant(q(69), p(199)).unwrap();
+        wide.add_request(p(130), q(69)).unwrap();
+        sync(&mut e, &wide);
     }
 
     #[test]

@@ -101,16 +101,23 @@ impl StateMatrix {
     /// `new` was designed to reject.
     pub fn from_rag(rag: &Rag) -> Self {
         let mut mat = StateMatrix::new(rag.resources(), rag.processes());
+        mat.add_rag_edges(rag);
+        mat
+    }
+
+    /// Writes every edge of `rag` into the matrix, which must be at least
+    /// as large as the graph (the DDU loads smaller graphs into a wider
+    /// cell array).
+    pub(crate) fn add_rag_edges(&mut self, rag: &Rag) {
         for qi in 0..rag.resources() {
             let q = ResId(qi as u16);
             if let Some(p) = rag.owner(q) {
-                mat.set_grant(q, p);
+                self.set_grant(q, p);
             }
             for &p in rag.requesters(q) {
-                mat.set_request(p, q);
+                self.set_request(p, q);
             }
         }
-        mat
     }
 
     /// Number of resource rows `m`.
@@ -276,26 +283,6 @@ impl StateMatrix {
     pub fn row_is_empty(&self, s: usize) -> bool {
         let (ra, ga) = self.row_bwo(s);
         !ra && !ga
-    }
-
-    /// `true` if process column `t` carries no edge in any row. Scans one
-    /// bit of every row word — the column-sided twin of
-    /// [`StateMatrix::row_is_empty`], used by the incremental engine to
-    /// maintain its column-word worklist.
-    pub fn col_is_empty(&self, t: usize) -> bool {
-        assert!(
-            t < self.n,
-            "column {t} out of range for {} processes",
-            self.n
-        );
-        let (w, bit) = Self::bit(t);
-        for s in 0..self.m {
-            let i = self.idx(s, w);
-            if (self.r[i] | self.g[i]) & bit != 0 {
-                return false;
-            }
-        }
-        true
     }
 
     /// ORs row `s` of both planes into the accumulators (the incremental
@@ -536,7 +523,7 @@ impl RowsMut<'_> {
     ///
     /// `s` must be in range and no other thread may access row `s`.
     #[inline]
-    pub(crate) unsafe fn clear_columns_in_row_nonempty(&self, s: usize, mask: &[u64]) -> bool {
+    pub(crate) unsafe fn clear_columns_in_row_survives(&self, s: usize, mask: &[u64]) -> bool {
         debug_assert!(mask.len() >= self.words);
         let mut live = 0u64;
         for (w, &mask_w) in mask.iter().enumerate().take(self.words) {

@@ -52,9 +52,6 @@ pub struct ReduceScratch {
     col_g: Vec<u64>,
     /// Worklist of rows that still carry edges.
     active: Vec<u32>,
-    /// Worklist of row-words that can contain a non-empty column — either
-    /// every word (cold path) or the caller's column-word seed.
-    word_list: Vec<u32>,
     /// Per-shard accumulators for the parallel path; empty until a
     /// sharded pass runs.
     par: ParScratch,
@@ -171,23 +168,15 @@ impl ReduceScratch {
 
 /// The terminal reduction engine shared by [`terminal_reduction`] (cold
 /// path: scans all rows) and the incremental [`crate::engine::DetectEngine`]
-/// (hot path: seeds the worklist from its dirty-row bookkeeping).
+/// (hot path: seeds the worklist from its occupancy index).
 ///
 /// `seed` is the initial active-row worklist. It must contain **every**
 /// non-empty row (extra empty rows are harmless); `None` scans the matrix
 /// to build it. Rows outside the worklist are skipped entirely — empty
 /// rows contribute nothing to the column BWO trees and can never be
 /// terminal, so the verdict, `iterations` and `steps` are identical to a
-/// full scan, pass for pass.
-///
-/// `col_words` is the column-sided worklist: the row-words (column
-/// indices / 64) that contain at least one non-empty column. It must
-/// cover **every** word with an edge anywhere in the matrix (extra words
-/// are harmless); `None` means all words. The terminal-column mask of a
-/// word with no edges is identically zero — both BWO accumulators stay
-/// zero — so skipping such words changes neither the mask, `T_iter`, nor
-/// the completeness check, pass for pass. Columns only ever *lose* edges
-/// during a reduction, so a seed valid at entry stays valid throughout.
+/// full scan, pass for pass. Every pass clears, merges and masks all
+/// column words.
 ///
 /// `par` enables the sharded path: passes with at least
 /// [`ParExec::min_live_rows`] live rows split the worklist into
@@ -204,7 +193,6 @@ pub(crate) fn reduce_core(
     matrix: &mut StateMatrix,
     scratch: &mut ReduceScratch,
     seed: Option<&[u32]>,
-    col_words: Option<&[u32]>,
     par: Option<&ParExec<'_>>,
 ) -> ReductionReport {
     let m = matrix.resources();
@@ -214,12 +202,7 @@ pub(crate) fn reduce_core(
 
     // Mask of valid column bits in the last word, so phantom columns
     // beyond `n` can never appear terminal.
-    let tail_bits = matrix.processes() % 64;
-    let tail_mask = if tail_bits == 0 {
-        u64::MAX
-    } else {
-        (1u64 << tail_bits) - 1
-    };
+    let tail_mask = u64::MAX >> ((64 - matrix.processes() % 64) % 64);
 
     scratch.ensure(m, words);
     scratch.active.clear();
@@ -241,27 +224,6 @@ pub(crate) fn reduce_core(
         );
     }
 
-    scratch.word_list.clear();
-    match col_words {
-        Some(ws) => scratch.word_list.extend_from_slice(ws),
-        None => scratch.word_list.extend(0..words as u32),
-    }
-    #[cfg(debug_assertions)]
-    for t in 0..matrix.processes() {
-        debug_assert!(
-            scratch.word_list.contains(&((t / 64) as u32)) || matrix.col_is_empty(t),
-            "column-word seed is missing word {} of non-empty column {t}",
-            t / 64
-        );
-    }
-    // The scratch is reused across probes with possibly different word
-    // lists; words outside this probe's list must read as all-zero in the
-    // accumulators and the mask (they carry no edges, so the per-pass
-    // restricted clears below keep them zero).
-    scratch.col_mask[..words].fill(0);
-    scratch.col_r[..words].fill(0);
-    scratch.col_g[..words].fill(0);
-
     // Shard count for this reduction; individual passes still fall back
     // to the serial loop when too few rows are live.
     let par_threads = par.map_or(1, |p| p.threads.min(p.pool.threads()).max(1));
@@ -282,12 +244,13 @@ pub(crate) fn reduce_core(
         // have `ra ^ ga == false`, so restricting to the worklist loses
         // nothing.
         let mut any_terminal = false;
+        scratch.col_r[..words].fill(0);
+        scratch.col_g[..words].fill(0);
         if par_pass {
             let pool = par.expect("par_pass implies par").pool;
             scratch.par.ensure(par_threads, words);
             let shards = &scratch.par.shards[..par_threads];
             let active = &scratch.active;
-            let word_list = &scratch.word_list;
             let term = TermPtr(scratch.terminal_rows.as_mut_ptr());
             {
                 let rows = matrix.rows_mut();
@@ -300,10 +263,8 @@ pub(crate) fn reduce_core(
                     // the worklist, so terminal-flag writes and row reads
                     // never alias across shards.
                     let acc = unsafe { &mut *shards[k].0.get() };
-                    for &w in word_list {
-                        acc.col_r[w as usize] = 0;
-                        acc.col_g[w as usize] = 0;
-                    }
+                    acc.col_r[..words].fill(0);
+                    acc.col_g[..words].fill(0);
                     let (lo, hi) = chunk_bounds(active.len(), par_threads, k);
                     let mut any = false;
                     for &s in &active[lo..hi] {
@@ -319,27 +280,16 @@ pub(crate) fn reduce_core(
             // OR-merge the shard accumulators in shard order. OR is
             // commutative and the shards cover disjoint row ranges, so
             // the merged words equal a serial scan's bit for bit.
-            for &w in &scratch.word_list {
-                let w = w as usize;
-                scratch.col_r[w] = 0;
-                scratch.col_g[w] = 0;
-            }
             for slot in &scratch.par.shards[..par_threads] {
                 // SAFETY: the pool joined; this is the only reference.
                 let acc = unsafe { &*slot.0.get() };
                 any_terminal |= acc.any_terminal;
-                for &w in &scratch.word_list {
-                    let w = w as usize;
+                for w in 0..words {
                     scratch.col_r[w] |= acc.col_r[w];
                     scratch.col_g[w] |= acc.col_g[w];
                 }
             }
         } else {
-            for i in 0..scratch.word_list.len() {
-                let w = scratch.word_list[i] as usize;
-                scratch.col_r[w] = 0;
-                scratch.col_g[w] = 0;
-            }
             for &s in &scratch.active {
                 let (ra, ga) = matrix.row_scan(s as usize, &mut scratch.col_r, &mut scratch.col_g);
                 let flag = ra ^ ga;
@@ -347,15 +297,14 @@ pub(crate) fn reduce_core(
                 any_terminal |= flag;
             }
         }
-        for i in 0..scratch.word_list.len() {
-            let w = scratch.word_list[i] as usize;
-            let valid = if w + 1 == words { tail_mask } else { u64::MAX };
-            // τ_ct = r-any XOR g-any, per column, restricted to columns
-            // that actually have edges (XOR of two zero bits is zero, so
-            // empty columns are naturally excluded).
-            scratch.col_mask[w] = (scratch.col_r[w] ^ scratch.col_g[w]) & valid;
-            any_terminal |= scratch.col_mask[w] != 0;
+        // τ_ct = r-any XOR g-any, per column, restricted to columns that
+        // actually have edges (XOR of two zero bits is zero, so empty
+        // columns are naturally excluded).
+        for w in 0..words {
+            scratch.col_mask[w] = scratch.col_r[w] ^ scratch.col_g[w];
         }
+        scratch.col_mask[words - 1] &= tail_mask;
+        any_terminal |= scratch.col_mask[..words].iter().any(|&w| w != 0);
 
         // Equation 5: T_iter == 0 → irreducible, stop. The final pass's
         // BWO accumulators already summarize every live edge, so the
@@ -392,7 +341,7 @@ pub(crate) fn reduce_core(
                         let su = s as usize;
                         if terminal[su] {
                             unsafe { rows.clear_row(su) };
-                        } else if unsafe { rows.clear_columns_in_row_nonempty(su, mask) } {
+                        } else if unsafe { rows.clear_columns_in_row_survives(su, mask) } {
                             acc.survivors.push(s);
                         }
                     }
@@ -457,7 +406,7 @@ pub(crate) fn reduce_core(
 /// ```
 pub fn terminal_reduction(matrix: &mut StateMatrix) -> ReductionReport {
     let mut scratch = ReduceScratch::new();
-    reduce_core(matrix, &mut scratch, None, None, None)
+    reduce_core(matrix, &mut scratch, None, None)
 }
 
 /// Runs the terminal reduction with an explicit [`ParConfig`], optionally
@@ -511,7 +460,7 @@ fn reduce_standalone(
                 min_live_rows: cfg.min_live_rows,
             })
     });
-    reduce_core(matrix, &mut scratch, None, None, par.as_ref())
+    reduce_core(matrix, &mut scratch, None, par.as_ref())
 }
 
 /// Upper bound on reduction steps proven in the paper's technical report:

@@ -122,11 +122,11 @@ fn engine_survives_journal_overflow_and_clones() {
 }
 
 #[test]
-fn wide_matrices_exercise_the_column_word_worklist() {
-    // The 8×8 sequences above always fit one row-word, so the
-    // column-sided worklist never skips anything there. Use ≥3 words of
-    // columns with edits clustered in one word: the engine must agree
-    // with the cold path while provably skipping the empty column words.
+fn wide_matrices_agree_on_multi_word_rows_and_tail_words() {
+    // The 8×8 sequences above always fit one row-word. Use ≥3 words of
+    // columns with edits clustered in one word (sometimes the tail
+    // word): the engine must agree with the cold path while most column
+    // words stay empty.
     for seq in 0..128u64 {
         let mut rng = Lcg::new(0xBEEF ^ seq);
         let m = 1 + rng.below(6) as usize;
@@ -160,15 +160,10 @@ fn wide_matrices_exercise_the_column_word_worklist() {
             }
         }
         assert_agrees(&mut engine, &rag, seq, ops);
-        let stats = engine.stats();
-        assert!(
-            stats.col_words_skipped >= 2 * (stats.reductions - stats.full_rebuilds),
-            "clustered edits must leave ≥2 of 3 column words skippable: {stats:?}"
-        );
     }
 
     // And a mixed sequence spreading edits over all words: correctness
-    // must hold when the live word set grows and shrinks.
+    // must hold as columns in every word fill and empty.
     for seq in 0..64u64 {
         let mut rng = Lcg::new(0xD00D ^ seq);
         let m = 1 + rng.below(5) as usize;

@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use deltaos_core::par::{ParConfig, WorkerPool};
 use deltaos_core::{ProcId, ResId};
-use deltaos_store::wal::WalEvent;
 use deltaos_store::{
     BrokerWalOp, FsyncPolicy, SessionSnapshot, ShardCheckpoint, ShardCounters, ShardStore,
     StoreError, WalOp,
@@ -107,26 +106,6 @@ pub struct RecoveryInfo {
     pub next_session: u64,
     /// Sessions live after recovery.
     pub live_sessions: u64,
-}
-
-pub(crate) fn wal_event(ev: &Event) -> WalEvent {
-    match *ev {
-        Event::Request { p, q } => WalEvent::Request { p, q },
-        Event::Grant { q, p } => WalEvent::Grant { q, p },
-        Event::Release { q, p } => WalEvent::Release { q, p },
-        Event::Probe => WalEvent::Probe,
-        Event::WouldDeadlock { p, q } => WalEvent::WouldDeadlock { p, q },
-    }
-}
-
-pub(crate) fn proto_event(ev: &WalEvent) -> Event {
-    match *ev {
-        WalEvent::Request { p, q } => Event::Request { p, q },
-        WalEvent::Grant { q, p } => Event::Grant { q, p },
-        WalEvent::Release { q, p } => Event::Release { q, p },
-        WalEvent::Probe => Event::Probe,
-        WalEvent::WouldDeadlock { p, q } => Event::WouldDeadlock { p, q },
-    }
 }
 
 /// One shard's persistence handle: the open [`ShardStore`] plus
@@ -367,8 +346,7 @@ pub(crate) fn apply_wal_op(shard: usize, op: &WalOp, state: &mut ShardState, eng
             let Some(sess) = state.sessions.get_mut(session) else {
                 panic!("shard {shard}: WAL batch for unknown session {session}");
             };
-            let events: Vec<Event> = events.iter().map(proto_event).collect();
-            apply_batch(&mut state.counters, sess, &events);
+            apply_batch(&mut state.counters, sess, events);
         }
         WalOp::Close { session } => state.retire(*session),
         WalOp::Restore { snapshot } => {

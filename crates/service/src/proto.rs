@@ -34,44 +34,9 @@ impl fmt::Display for SessionId {
     }
 }
 
-/// One resource event applied to a session's RAG, in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// Process `p` requests resource `q` (queued; no grant implied).
-    Request {
-        /// Requesting process.
-        p: ProcId,
-        /// Requested resource.
-        q: ResId,
-    },
-    /// Resource `q` is granted to process `p`.
-    Grant {
-        /// Granted resource.
-        q: ResId,
-        /// Receiving process.
-        p: ProcId,
-    },
-    /// Process `p` releases its grant on `q`, or withdraws its pending
-    /// request for `q` when it is not the owner.
-    Release {
-        /// Released resource.
-        q: ResId,
-        /// Releasing process.
-        p: ProcId,
-    },
-    /// Run deadlock detection on the session's current state.
-    Probe,
-    /// Avoidance query: would admitting the request edge `p → q`
-    /// deadlock? The edge is applied tentatively, probed through the
-    /// session's persistent engine, and removed — the session state is
-    /// unchanged afterwards.
-    WouldDeadlock {
-        /// Hypothetical requester.
-        p: ProcId,
-        /// Hypothetical resource.
-        q: ResId,
-    },
-}
+/// One resource event applied to a session's RAG, in order. The WAL logs
+/// the same type, so a batch goes to the log without conversion.
+pub use deltaos_store::WalEvent as Event;
 
 /// Why an event was rejected (mirrors [`CoreError`] without payloads the
 /// wire does not need).

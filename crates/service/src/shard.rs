@@ -477,7 +477,7 @@ impl ShardCore {
                     &mut self.repl,
                     &WalOp::Batch {
                         session: session.0,
-                        events: events.iter().map(durable::wal_event).collect(),
+                        events: events.to_vec(),
                     },
                 );
                 if !read_only && withhold {

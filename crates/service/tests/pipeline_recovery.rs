@@ -30,7 +30,7 @@ use deltaos_service::{
     CoreConfig, CoreRuntime, DurabilityConfig, Event, FsyncPolicy, Request, Response, Session,
     SessionId, TcpClient,
 };
-use deltaos_store::wal::{scan, WalEvent};
+use deltaos_store::wal::scan;
 use deltaos_store::WalOp;
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -78,16 +78,6 @@ fn event_log(seed: u64, len: usize) -> Vec<Event> {
     log
 }
 
-fn wal_event_to_proto(ev: &WalEvent) -> Event {
-    match *ev {
-        WalEvent::Request { p, q } => Event::Request { p, q },
-        WalEvent::Grant { q, p } => Event::Grant { q, p },
-        WalEvent::Release { q, p } => Event::Release { q, p },
-        WalEvent::Probe => Event::Probe,
-        WalEvent::WouldDeadlock { p, q } => Event::WouldDeadlock { p, q },
-    }
-}
-
 /// Replays the surviving WAL prefixes through plain [`Session`]s —
 /// independent of the service's own recovery code. The workload opens
 /// sessions and applies batches only, so those are the only ops a
@@ -107,7 +97,6 @@ fn replay_reference(damaged: &[Vec<u8>]) -> HashMap<u64, Session> {
                 }
                 WalOp::Batch { session, events } => {
                     let sess = sessions.get_mut(&session).expect("batch for live session");
-                    let events: Vec<Event> = events.iter().map(wal_event_to_proto).collect();
                     scratch.clear();
                     sess.apply_batch(&events, &mut scratch);
                 }

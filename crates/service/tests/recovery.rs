@@ -24,7 +24,7 @@ use deltaos_service::{
     FsyncPolicy, Session, SessionId,
 };
 use deltaos_sim::Stats;
-use deltaos_store::wal::{scan, WalEvent};
+use deltaos_store::wal::scan;
 use deltaos_store::{BrokerWalOp, ShardCheckpoint, ShardCounters, WalOp};
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -124,16 +124,6 @@ fn drive(service: &CoreRuntime, seed: u64, ops: usize) -> Vec<SessionId> {
     }
     open.sort();
     open
-}
-
-fn wal_event_to_proto(ev: &WalEvent) -> Event {
-    match *ev {
-        WalEvent::Request { p, q } => Event::Request { p, q },
-        WalEvent::Grant { q, p } => Event::Grant { q, p },
-        WalEvent::Release { q, p } => Event::Release { q, p },
-        WalEvent::Probe => Event::Probe,
-        WalEvent::WouldDeadlock { p, q } => Event::WouldDeadlock { p, q },
-    }
 }
 
 /// One shard's state rebuilt *independently* of the service's recovery
@@ -249,7 +239,6 @@ fn replay_reference(dir: &Path, wal_bytes: &[Vec<u8>]) -> Vec<RefShard> {
                     }
                     WalOp::Batch { session, events } => {
                         let sess = sessions.get_mut(&session).expect("batch for live session");
-                        let events: Vec<Event> = events.iter().map(wal_event_to_proto).collect();
                         results.clear();
                         let tally = sess.apply_batch(&events, &mut results);
                         counters.batches += 1;

@@ -41,7 +41,10 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DLSS";
 /// parked requests, outstanding give-up asks, metered cycle totals) and
 /// four retired broker counters to [`ShardCounters`].
 /// Version 4 added the replication epoch after `next_session`; version 3
-/// files still load (epoch 0).
+/// files still load (epoch 0). Slot 6 of the engine stats block is
+/// reserved: it held a retired counter (column words the dense engine
+/// skipped), is written as 0 and is ignored on read, so files that carry
+/// a value there still load under the same version.
 pub const CHECKPOINT_VERSION: u16 = 4;
 /// Oldest checkpoint version this build still reads.
 pub const CHECKPOINT_MIN_VERSION: u16 = 3;
@@ -259,7 +262,7 @@ impl SessionSnapshot {
             s.deltas_applied,
             s.full_rebuilds,
             s.reductions,
-            s.col_words_skipped,
+            0, // reserved slot 6, see `CHECKPOINT_VERSION`
             s.dense_reductions,
             s.sparse_reductions,
             s.live_edges,
@@ -334,7 +337,7 @@ impl SessionSnapshot {
             deltas_applied: vals[3],
             full_rebuilds: vals[4],
             reductions: vals[5],
-            col_words_skipped: vals[6],
+            // vals[6] is the reserved slot, ignored on read.
             dense_reductions: vals[7],
             sparse_reductions: vals[8],
             live_edges: vals[9],
@@ -695,6 +698,20 @@ mod tests {
         rebuilt.add_request(ProcId(2), ResId(0)).unwrap();
         assert_eq!(live.probe(&live_rag), restored.probe(&rebuilt));
         assert_eq!(live.stats(), restored.stats());
+    }
+
+    #[test]
+    fn reserved_engine_slot_is_written_zero_and_ignored_on_read() {
+        let (rag, engine) = sample_session();
+        let snap = SessionSnapshot::capture(7, &rag, &engine);
+        let mut bytes = snap.encode();
+        // session, dims, two counted edge lists, then six counters.
+        let edges = 4 * (snap.grants.len() + snap.requests.len());
+        let slot = 8 + 2 + 2 + 4 + 4 + edges + 6 * 8;
+        assert_eq!(bytes[slot..slot + 8], [0; 8]);
+        // A file from a build that still kept the counter loads as well.
+        bytes[slot..slot + 8].copy_from_slice(&42u64.to_le_bytes());
+        assert_eq!(SessionSnapshot::decode(&bytes).unwrap(), snap);
     }
 
     fn sample_broker() -> BrokerSnapshot {

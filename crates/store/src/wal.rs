@@ -100,37 +100,43 @@ pub enum FsyncPolicy {
     },
 }
 
-/// One event inside a [`WalOp::Batch`] — mirrors the service wire
-/// events using core ids so the store stays independent of the wire
-/// crate.
+/// One resource event applied to a session's RAG, in order. It is both
+/// the service's wire event (re-exported as `deltaos_service::Event`)
+/// and the event inside a [`WalOp::Batch`], so a logged batch holds the
+/// very events the client sent; the wire and WAL codecs each keep their
+/// own byte layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalEvent {
-    /// Process `p` requests resource `q`.
+    /// Process `p` requests resource `q` (queued; no grant implied).
     Request {
         /// Requesting process.
         p: ProcId,
         /// Requested resource.
         q: ResId,
     },
-    /// Resource `q` granted to process `p`.
+    /// Resource `q` is granted to process `p`.
     Grant {
         /// Granted resource.
         q: ResId,
         /// Receiving process.
         p: ProcId,
     },
-    /// Process `p` releases / withdraws on `q`.
+    /// Process `p` releases its grant on `q`, or withdraws its pending
+    /// request for `q` when it is not the owner.
     Release {
         /// Released resource.
         q: ResId,
         /// Releasing process.
         p: ProcId,
     },
-    /// Detection probe (mutates engine counters and the result cache,
-    /// so it is logged to keep recovery bit-identical).
+    /// Run deadlock detection on the session's current state. Logged
+    /// although it edits nothing: it advances engine counters and the
+    /// result cache, and recovery must reproduce them bit for bit.
     Probe,
-    /// Avoidance query for edge `p → q` (also logged: it advances
-    /// engine counters).
+    /// Avoidance query: would admitting the request edge `p → q`
+    /// deadlock? The edge is applied tentatively, probed through the
+    /// session's persistent engine, and removed — the session state is
+    /// unchanged afterwards (logged, like `Probe`, for its counters).
     WouldDeadlock {
         /// Hypothetical requester.
         p: ProcId,
