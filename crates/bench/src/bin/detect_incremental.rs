@@ -10,10 +10,17 @@
 //! isolates exactly what the engine removes: per-probe allocation, full
 //! matrix construction and whole-matrix scans.
 //!
+//! The two paths' samples are interleaved, so the speedup does not move
+//! with the host's speed. At 64² and up the engine's default gate probes
+//! these graphs through the sparse mirror's pass labels. The toggled
+//! request there joins two idle nodes, so those rows time the mirror's
+//! cheapest write, one that moves no label; writes whose label change
+//! spreads are timed by `detect_sparse`'s grid.
+//!
 //! Emits `BENCH_detect.json` at the repository root, including the
 //! acceptance check (≥5× on 64×64 single-edge-edit probes).
 
-use deltaos_bench::microbench::time;
+use deltaos_bench::microbench::time_pair;
 use deltaos_core::engine::DetectEngine;
 use deltaos_core::matrix::StateMatrix;
 use deltaos_core::pdda::DetectOutcome;
@@ -120,27 +127,28 @@ impl Row {
 }
 
 fn bench_pair(k: usize, edits_per_probe: usize) -> Row {
-    // Full-rebuild path: edit then the pre-engine probe.
-    let mut rag = sparse_rag(k);
-    let mut on = false;
-    let full = time(|| {
-        for _ in 0..edits_per_probe {
-            toggle_edge(&mut rag, &mut on);
-        }
-        std::hint::black_box(baseline_detect(&rag));
-    });
-
-    // Incremental path: identical edits, persistent engine.
-    let mut rag = sparse_rag(k);
-    let mut on = false;
+    // Full-rebuild path: edit then the pre-engine probe. Incremental
+    // path: identical edits, persistent engine. Their samples interleave
+    // (`time_pair`), so a shift in host speed moves both alike instead of
+    // deciding the speedup.
+    let (mut full_rag, mut full_on) = (sparse_rag(k), false);
+    let (mut rag, mut on) = (sparse_rag(k), false);
     let mut engine = DetectEngine::new(k, k);
     engine.probe(&rag); // prime the mirror (the one full rebuild)
-    let incr = time(|| {
-        for _ in 0..edits_per_probe {
-            toggle_edge(&mut rag, &mut on);
-        }
-        std::hint::black_box(engine.probe(&rag));
-    });
+    let (full, incr) = time_pair(
+        || {
+            for _ in 0..edits_per_probe {
+                toggle_edge(&mut full_rag, &mut full_on);
+            }
+            std::hint::black_box(baseline_detect(&full_rag));
+        },
+        || {
+            for _ in 0..edits_per_probe {
+                toggle_edge(&mut rag, &mut on);
+            }
+            std::hint::black_box(engine.probe(&rag));
+        },
+    );
     assert_eq!(
         engine.probe(&rag),
         baseline_detect(&rag),

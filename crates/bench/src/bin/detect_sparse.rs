@@ -6,7 +6,9 @@
 //! 5%, 20%) and each depth (a shallow random graph and the deep padded
 //! peel chain), the grid times forced-dense against forced-sparse
 //! [`DetectEngine`] probes, each after one toggled request edge, and the
-//! per-edit cost of keeping the sparse mirror. The two engines' samples
+//! per-edit cost of keeping the sparse mirror: its time, and the
+//! adjacency entries the mirror visits per toggle and probe (a count
+//! that holds on any host). The two engines' samples
 //! are interleaved, so a shift in host speed moves both alike instead
 //! of deciding the ratio. Each cell records the path
 //! [`SparseConfig::default`] picks for its shape and edge count. The
@@ -317,6 +319,8 @@ struct GridCell {
     dense_ns: f64,
     sparse_ns: f64,
     mirror_edit_ns: f64,
+    /// Adjacency entries [`SparseState`] visits per toggle and probe.
+    visits_per_toggle: f64,
     /// The default gate keeps a sparse mirror for this shape.
     covered: bool,
     gate_sparse: bool,
@@ -397,6 +401,14 @@ fn grid_cell(m: usize, n: usize, target_permille: f64, depth: Depth) -> GridCell
     let mut mirror = SparseState::new(m, n);
     mirror.rebuild_from_rag(&rag);
     let (p, q) = (toggle.0.index(), toggle.1.index());
+    let before = mirror.visits();
+    for _ in 0..2 {
+        mirror.set_request(p, q);
+        std::hint::black_box(mirror.reduce());
+        mirror.clear(q, p);
+        std::hint::black_box(mirror.reduce());
+    }
+    let visits_per_toggle = (mirror.visits() - before) as f64 / 4.0;
     let mut on = false;
     let mirror_edit_ns = time(|| {
         if on {
@@ -418,11 +430,12 @@ fn grid_cell(m: usize, n: usize, target_permille: f64, depth: Depth) -> GridCell
         dense_ns,
         sparse_ns,
         mirror_edit_ns,
+        visits_per_toggle,
         covered: SparseConfig::default().covers_shape(m, n),
         gate_sparse: SparseConfig::default().prefers_sparse(m, n, edges as u64),
     };
     println!(
-        "{:>4}x{:<4} {:<7} {:>7} edges ({:>7.3}%) {:>5} iters  dense {:>12.1} ns  sparse {:>12.1} ns  ({:>6.2}x)  mirror edit {:>6.1} ns  gate {:<6} {}",
+        "{:>4}x{:<4} {:<7} {:>7} edges ({:>7.3}%) {:>5} iters  dense {:>12.1} ns  sparse {:>12.1} ns  ({:>6.2}x)  mirror edit {:>8.1} ns {:>8.1} visits  gate {:<6} {}",
         m,
         n,
         depth.name(),
@@ -433,6 +446,7 @@ fn grid_cell(m: usize, n: usize, target_permille: f64, depth: Depth) -> GridCell
         sparse_ns,
         sparse_ns / dense_ns,
         mirror_edit_ns,
+        visits_per_toggle,
         if cell.gate_sparse { "sparse" } else { "dense" },
         match cell.gate_ok() {
             Some(true) => "ok",
@@ -549,7 +563,7 @@ fn to_json(rows: &[Row], grid: &[GridCell], host_cpus: usize) -> String {
     out.push_str("  \"grid\": [\n");
     for (i, c) in grid.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"m\": {}, \"n\": {}, \"depth\": \"{}\", \"target_permille\": {}, \"edges\": {}, \"density_pct\": {:.4}, \"iterations\": {}, \"dense_ns\": {:.1}, \"sparse_ns\": {:.1}, \"sparse_over_dense\": {:.3}, \"mirror_edit_ns\": {:.1}, \"mirror\": {}, \"gate\": \"{}\", \"gate_ok\": {}}}{}\n",
+            "    {{\"m\": {}, \"n\": {}, \"depth\": \"{}\", \"target_permille\": {}, \"edges\": {}, \"density_pct\": {:.4}, \"iterations\": {}, \"dense_ns\": {:.1}, \"sparse_ns\": {:.1}, \"sparse_over_dense\": {:.3}, \"mirror_edit_ns\": {:.1}, \"visits_per_toggle\": {:.1}, \"mirror\": {}, \"gate\": \"{}\", \"gate_ok\": {}}}{}\n",
             c.m,
             c.n,
             c.depth.name(),
@@ -561,6 +575,7 @@ fn to_json(rows: &[Row], grid: &[GridCell], host_cpus: usize) -> String {
             c.sparse_ns,
             c.sparse_ns / c.dense_ns,
             c.mirror_edit_ns,
+            c.visits_per_toggle,
             c.covered,
             if c.gate_sparse { "sparse" } else { "dense" },
             c.gate_ok().map_or("null".to_string(), |ok| ok.to_string()),
@@ -579,10 +594,12 @@ fn to_json(rows: &[Row], grid: &[GridCell], host_cpus: usize) -> String {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     if smoke {
-        // One cell on each side of the default gate.
+        // One cell on each side of the default gate. It sends every
+        // grid cell with a mirror sparse, the densest 256² one included,
+        // so the dense side is the mirror floor.
         let cells = [
-            grid_cell(512, 512, 1.0, Depth::Shallow),
-            grid_cell(256, 256, 200.0, Depth::Shallow),
+            grid_cell(256, 256, 200.0, Depth::Deep),
+            grid_cell(16, 16, 200.0, Depth::Shallow),
         ];
         assert!(
             cells[0].gate_sparse && !cells[1].gate_sparse,

@@ -18,10 +18,11 @@
 //! from a throughput floor to a gating-consistency rule: **no shape
 //! with a measured slowdown may be auto-selected for sharding**.
 //!
-//! The sweep also times the sparse adjacency-list reduction
-//! ([`SparseState`]) on the 1024² peel chain. At ~2k live edges in a
-//! 1M-cell matrix (≈2‰ density) the chain is exactly the regime the
-//! hybrid engine routes to the sparse path, and the column records the
+//! The sweep also times the sparse path's cold reduction
+//! ([`SparseState`]: a rebuild from the matrix, which peels once, plus
+//! the report) on the 1024² peel chain. At ~2k live edges in a 1M-cell
+//! matrix (≈2‰ density) the chain is exactly the regime the hybrid
+//! engine routes to the sparse path, and the column records the
 //! dense-vs-sparse crossover next to the shard scaling in one place.
 //!
 //! Emits `BENCH_reduce_scaling.json` at the repository root.
@@ -176,9 +177,11 @@ fn bench_case(m: usize, n: usize, threads: &[usize], rows: &mut Vec<Row>) {
     }
 }
 
-/// Times the sparse adjacency-list reduction on the same 1024² peel
-/// chain and checks it agrees with the dense serial report. Returns
-/// `(sparse_ns, serial_ns)`.
+/// Times the sparse path's cold reduction on the same 1024² peel chain
+/// — a rebuild from the matrix, whose one peel labels every row and
+/// column, plus the report (a probe of an unchanged state only reads the
+/// kept labels) — and checks it agrees with the dense serial report.
+/// Returns `(sparse_ns, serial_ns)`.
 fn bench_sparse_1024(rows: &[Row]) -> (f64, f64) {
     let mat = workload(1024, 1024);
     let mut sp = SparseState::new(1024, 1024);
@@ -190,6 +193,7 @@ fn bench_sparse_1024(rows: &[Row]) -> (f64, f64) {
         "1024x1024 sparse: report diverged from dense serial"
     );
     let timed = time(|| {
+        sp.rebuild_from_matrix(&mat);
         std::hint::black_box(sp.reduce());
     });
     let serial_ns = rows

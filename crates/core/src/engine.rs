@@ -62,14 +62,18 @@ pub struct EngineStats {
     /// Syncs that fell back to a full [`StateMatrix::from_rag`]-style
     /// rebuild (cold path).
     pub full_rebuilds: u64,
-    /// Terminal reductions actually executed.
+    /// Probes answered by a reduction rather than the cache: a dense
+    /// reduction, or a read of the sparse mirror's pass labels, which
+    /// counts as one reduction.
     pub reductions: u64,
     /// Reductions served by the dense word-parallel engine (row- or
     /// column-major). `dense_reductions + sparse_reductions ==
     /// reductions`.
     pub dense_reductions: u64,
-    /// Reductions served by the sparse adjacency-list engine
-    /// ([`crate::sparse::SparseState`]).
+    /// Reductions served by the sparse mirror
+    /// ([`crate::sparse::SparseState`]): an O(1) read of its pass labels,
+    /// which its edits keep current, after a cold peel if they went stale
+    /// while the gate sent probes dense.
     pub sparse_reductions: u64,
     /// Live edges in the mirror at read time (a gauge, not a counter).
     pub live_edges: u64,
@@ -149,9 +153,10 @@ pub struct DetectEngine {
     scratch_t: ReduceScratch,
     /// Gates for the hybrid dense/sparse dispatch.
     sparse_cfg: SparseConfig,
-    /// Adjacency-list mirror, kept cell-for-cell in sync with `mirror`
-    /// by the same O(degree) delta writes. Allocated only when the shape
-    /// is large enough that the sparse path could ever be selected.
+    /// Edge-array mirror, kept cell-for-cell in sync with `mirror` by
+    /// the same delta writes, with its pass labels kept current while
+    /// the gate sends probes sparse. Allocated only when the shape is
+    /// large enough that the sparse path could ever be selected.
     sparse: Option<Box<SparseState>>,
     /// Live edges in the mirror, maintained O(1) per cell write — the
     /// density input of the hybrid dispatch.
@@ -298,9 +303,14 @@ impl DetectEngine {
         self.sparse_cfg = cfg;
         if cfg.covers_shape(self.resources(), self.processes()) {
             if self.sparse.is_none() {
-                let mut sp = Box::new(SparseState::new(self.resources(), self.processes()));
-                sp.rebuild_from_matrix(&self.mirror);
-                self.sparse = Some(sp);
+                self.sparse = Some(Box::new(SparseState::new(
+                    self.resources(),
+                    self.processes(),
+                )));
+                self.drop_labels_if_dense();
+                if let Some(sp) = self.sparse.as_mut() {
+                    sp.rebuild_from_matrix(&self.mirror);
+                }
             }
         } else {
             self.sparse = None;
@@ -422,12 +432,28 @@ impl DetectEngine {
         if let Some(t) = self.mirror_t.as_mut() {
             self.mirror.transpose_into(t);
         }
+        // Everything moved: re-index the mirror wholesale.
+        self.live_edges = index_mirror(&self.mirror, &mut self.rows, &mut self.cols);
+        self.drop_labels_if_dense();
         if let Some(sp) = self.sparse.as_mut() {
             sp.rebuild_from_rag(rag);
         }
-        // Everything moved: re-index the mirror wholesale.
-        self.live_edges = index_mirror(&self.mirror, &mut self.rows, &mut self.cols);
         self.stats.full_rebuilds += 1;
+    }
+
+    /// Called before a rebuild of the sparse mirror: it keeps its pass
+    /// labels only while the gate sends probes sparse. In the dense
+    /// regime they go stale (as they do whenever a probe goes dense), the
+    /// rebuild and later writes edit the edges alone, and the next sparse
+    /// probe re-peels cold, so the dense regime pays no label upkeep.
+    fn drop_labels_if_dense(&mut self) {
+        let Some(sp) = self.sparse.as_mut() else {
+            return;
+        };
+        let (m, n) = (self.mirror.resources(), self.mirror.processes());
+        if !self.sparse_cfg.prefers_sparse(m, n, self.live_edges) {
+            sp.mark_stale();
+        }
     }
 
     /// Brings the mirror up to date with `rag`, by delta replay when the
@@ -523,18 +549,30 @@ impl DetectEngine {
         let prefers_sparse =
             self.sparse_cfg
                 .prefers_sparse(self.resources(), self.processes(), self.live_edges);
-        if let Some(sp) = self.sparse.as_ref().filter(|_| prefers_sparse) {
-            debug_assert_eq!(
-                sp.live_edges(),
-                self.live_edges,
-                "sparse mirror edge count diverged from the engine's"
-            );
-            let report = sp.reduce();
-            self.stats.sparse_reductions += 1;
-            self.stats.reductions += 1;
-            let outcome: DetectOutcome = report.into();
-            self.cache = Some((self.version, outcome));
-            return outcome;
+        match self.sparse.as_mut() {
+            Some(sp) if prefers_sparse => {
+                debug_assert_eq!(
+                    sp.live_edges(),
+                    self.live_edges,
+                    "sparse mirror edge count diverged from the engine's"
+                );
+                debug_assert!(
+                    sp.labels_match_cold_peel(),
+                    "sparse mirror's pass labels diverged from a cold peel"
+                );
+                // A read of the mirror's pass labels, counted as one
+                // reduction like the dense path's.
+                let report = sp.reduce();
+                self.stats.sparse_reductions += 1;
+                self.stats.reductions += 1;
+                let outcome: DetectOutcome = report.into();
+                self.cache = Some((self.version, outcome));
+                return outcome;
+            }
+            // The dense path serves this probe: until a sparse probe
+            // re-peels the mirror cold, its writes edit the edges alone.
+            Some(sp) => sp.mark_stale(),
+            None => {}
         }
         let par = self.par_pool.as_ref().and_then(|pool| {
             self.par_cfg
@@ -754,6 +792,44 @@ mod tests {
         rag.add_request(p(0), q(1)).unwrap();
         rag.add_request(p(1), q(0)).unwrap();
         rag
+    }
+
+    #[test]
+    fn dense_regime_rebuilds_leave_the_sparse_labels_unpeeled() {
+        // A full 64² RAG: each row granted to one process and requested
+        // by the other 63, 4,096 edges, over the default gate's budget
+        // of 12.5 × 64 rows × (1 word + 4) = 4,000.
+        let mut rag = Rag::new(64, 64);
+        for r in 0..64 {
+            rag.add_grant(q(r), p(r)).unwrap();
+            for i in (0..64).filter(|&i| i != r) {
+                rag.add_request(p(i), q(r)).unwrap();
+            }
+        }
+        assert!(!SparseConfig::default().prefers_sparse(64, 64, 4_096));
+        let mut engine = DetectEngine::new(64, 64);
+        let peeled = |e: &DetectEngine| e.sparse.as_ref().expect("64² keeps a mirror").visits();
+        assert!(engine.probe(&rag).deadlock);
+        // A new identity with no delta in between: a second rebuild.
+        let mut rag = rag.clone();
+        assert!(engine.probe(&rag).deadlock);
+        assert_eq!(engine.stats().full_rebuilds, 2);
+        assert_eq!(engine.stats().dense_reductions, 2);
+        assert_eq!(
+            peeled(&engine),
+            0,
+            "a dense-regime rebuild peeled the labels"
+        );
+        // Dropping the 126 requests of rows 0-2 brings the graph under
+        // the budget: the next probe goes sparse and peels once.
+        for r in 0..3 {
+            for i in (0..64).filter(|&i| i != r) {
+                assert!(rag.remove_request(p(i), q(r)));
+            }
+        }
+        assert_eq!(engine.probe(&rag), detect_cold(&rag));
+        assert_eq!(engine.stats().sparse_reductions, 1);
+        assert!(peeled(&engine) > 0);
     }
 
     #[test]

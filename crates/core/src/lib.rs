@@ -18,10 +18,11 @@
 //!   an epoch-keyed result cache. All functional detection entry points
 //!   route through it.
 //! * [`sparse::SparseState`] — the flat edge-array twin of the matrix
-//!   for large, mostly-empty graphs: O(degree) edge deltas, probes in
-//!   O(Σ surviving edges over the passes), bit-identical reduction
-//!   reports. [`engine::DetectEngine`] dispatches between dense and
-//!   sparse per probe via [`sparse::SparseConfig`].
+//!   for large, mostly-empty graphs. It keeps each row's and column's
+//!   reduction pass across edits, re-peeling only the nodes an edit can
+//!   move, so a probe reads a bit-identical reduction report in O(1).
+//!   [`engine::DetectEngine`] dispatches between dense and sparse per
+//!   probe via [`sparse::SparseConfig`].
 //! * [`pdda`] — the Parallel Deadlock Detection Algorithm (Algorithm 2),
 //!   in both the word-parallel form and the instruction-metered
 //!   *software* form the paper benchmarks as RTOS1.
