@@ -84,31 +84,6 @@ impl EngineProbe {
         }
     }
 
-    /// Creates a probe with an explicit [`crate::par::ParConfig`] and
-    /// optional shared [`crate::par::WorkerPool`] — the avoidance stack's
-    /// hook into the sharded/column-major reduction paths. Decisions are
-    /// bit-identical to [`EngineProbe::new`] at any thread count; only
-    /// large matrices run faster.
-    pub fn with_parallel(
-        resources: usize,
-        processes: usize,
-        pool: Option<std::sync::Arc<crate::par::WorkerPool>>,
-        cfg: crate::par::ParConfig,
-    ) -> Self {
-        EngineProbe {
-            engine: DetectEngine::with_parallel(resources.max(1), processes.max(1), pool, cfg),
-        }
-    }
-
-    /// Swaps the parallel configuration on the underlying engine.
-    pub fn set_parallel(
-        &mut self,
-        pool: Option<std::sync::Arc<crate::par::WorkerPool>>,
-        cfg: crate::par::ParConfig,
-    ) {
-        self.engine.set_parallel(pool, cfg);
-    }
-
     /// Full detection outcome for `rag` (verdict plus iteration/step
     /// counts), served through the persistent engine.
     pub fn outcome(&mut self, rag: &Rag) -> DetectOutcome {

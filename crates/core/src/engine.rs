@@ -38,13 +38,10 @@
 //! untouched: the paper's Table 5 models a C implementation that rebuilds
 //! kernel tables on every invocation, and its costs must not shift.
 
-use std::sync::Arc;
-
 use crate::matrix::{Cell, StateMatrix};
-use crate::par::{ParConfig, WorkerPool};
 use crate::pdda::DetectOutcome;
 use crate::rag::RagDelta;
-use crate::reduction::{reduce_core, ParExec, ReduceScratch};
+use crate::reduction::{reduce_core, ReduceScratch, ReductionReport};
 use crate::sparse::{SparseConfig, SparseState};
 use crate::{ProcId, Rag, ResId};
 
@@ -118,7 +115,13 @@ enum Version {
 pub struct DetectEngine {
     /// Persistent image of the current graph state.
     mirror: StateMatrix,
-    /// Working copy the reduction destroys each probe.
+    /// Persistent transposed mirror (`n × m`), kept cell-for-cell in sync
+    /// with `mirror` by the same O(1) delta writes. Present exactly when
+    /// the shape reduces column-major ([`wants_colmajor`]), which is
+    /// fixed by shape, so it never flips between probes.
+    mirror_t: Option<StateMatrix>,
+    /// Working copy the reduction destroys each probe: `mirror`'s shape,
+    /// or `mirror_t`'s on the column-major path.
     work: StateMatrix,
     /// Reusable reduction scratch (col masks, BWO accumulators, worklist).
     scratch: ReduceScratch,
@@ -126,31 +129,13 @@ pub struct DetectEngine {
     /// so a probe never scans all `m` rows.
     rows: Occupancy,
     /// Occupancy of the mirror's columns; the live list seeds the
-    /// column-major reduction. Kept while that path is off too, so
-    /// turning it on needs no rescan.
+    /// column-major reduction.
     cols: Occupancy,
     /// Rows the last reduction left non-empty in `work` (the irreducible
     /// residue). Clearing exactly these restores `work` to all-zeros, so
     /// the next probe copies only the live rows instead of the whole
     /// mirror.
     work_residue: Vec<u32>,
-    /// Shared worker pool for the sharded reduction path, if any. One
-    /// pool serves many engines (e.g. every session of a service shard).
-    par_pool: Option<Arc<WorkerPool>>,
-    /// Gates for the parallel and column-major paths.
-    par_cfg: ParConfig,
-    /// `true` when this engine reduces the transposed mirror (tall
-    /// matrices, `m >= colmajor_ratio * n`). Fixed by shape + config, so
-    /// it never flips between probes.
-    colmajor: bool,
-    /// Persistent transposed mirror (`n × m`), kept cell-for-cell in sync
-    /// with `mirror` by the same O(1) delta writes. Only allocated when
-    /// `colmajor` is set.
-    mirror_t: Option<StateMatrix>,
-    /// Working copy of `mirror_t` plus its residue rows and scratch.
-    work_t: Option<StateMatrix>,
-    work_t_residue: Vec<u32>,
-    scratch_t: ReduceScratch,
     /// Gates for the hybrid dense/sparse dispatch.
     sparse_cfg: SparseConfig,
     /// Edge-array mirror, kept cell-for-cell in sync with `mirror` by
@@ -178,37 +163,24 @@ impl DetectEngine {
     /// Panics if either dimension is zero (same contract as
     /// [`StateMatrix::new`]).
     pub fn new(resources: usize, processes: usize) -> Self {
-        Self::with_parallel(resources, processes, None, ParConfig::default())
-    }
-
-    /// Creates an engine with an explicit [`ParConfig`] and optional
-    /// shared [`WorkerPool`]. With the default config (or no pool and
-    /// `colmajor_ratio == 0`) this is exactly [`DetectEngine::new`].
-    pub fn with_parallel(
-        resources: usize,
-        processes: usize,
-        pool: Option<Arc<WorkerPool>>,
-        cfg: ParConfig,
-    ) -> Self {
-        let colmajor = cfg.wants_colmajor(resources, processes);
+        let colmajor = wants_colmajor(resources, processes);
+        let (work_m, work_n) = if colmajor {
+            (processes, resources)
+        } else {
+            (resources, processes)
+        };
         let sparse_cfg = SparseConfig::default();
         let sparse = sparse_cfg
             .covers_shape(resources, processes)
             .then(|| Box::new(SparseState::new(resources, processes)));
         DetectEngine {
             mirror: StateMatrix::new(resources, processes),
-            work: StateMatrix::new(resources, processes),
+            mirror_t: colmajor.then(|| StateMatrix::new(processes, resources)),
+            work: StateMatrix::new(work_m, work_n),
             scratch: ReduceScratch::new(),
             rows: Occupancy::new(resources),
             cols: Occupancy::new(processes),
-            work_residue: Vec::with_capacity(resources),
-            par_pool: pool,
-            par_cfg: cfg,
-            colmajor,
-            mirror_t: colmajor.then(|| StateMatrix::new(processes, resources)),
-            work_t: colmajor.then(|| StateMatrix::new(processes, resources)),
-            work_t_residue: Vec::new(),
-            scratch_t: ReduceScratch::new(),
+            work_residue: Vec::with_capacity(work_m),
             sparse_cfg,
             sparse,
             live_edges: 0,
@@ -219,36 +191,9 @@ impl DetectEngine {
         }
     }
 
-    /// Replaces the parallel configuration (and pool) in place. The
-    /// column-major decision is re-evaluated for the engine's shape; if
-    /// the transposed mirror becomes live it is built from the current
-    /// mirror, so no resync is needed and no cached result is lost.
-    pub fn set_parallel(&mut self, pool: Option<Arc<WorkerPool>>, cfg: ParConfig) {
-        self.par_pool = pool;
-        self.par_cfg = cfg;
-        let colmajor = cfg.wants_colmajor(self.resources(), self.processes());
-        if colmajor && !self.colmajor {
-            let mut t = StateMatrix::new(self.processes(), self.resources());
-            self.mirror.transpose_into(&mut t);
-            self.mirror_t = Some(t);
-            self.work_t = Some(StateMatrix::new(self.processes(), self.resources()));
-            self.work_t_residue.clear();
-        } else if !colmajor {
-            self.mirror_t = None;
-            self.work_t = None;
-            self.work_t_residue.clear();
-        }
-        self.colmajor = colmajor;
-    }
-
-    /// The active parallel configuration.
-    pub fn par_config(&self) -> ParConfig {
-        self.par_cfg
-    }
-
     /// `true` when this engine reduces column-major (tall shapes).
     pub fn is_colmajor(&self) -> bool {
-        self.colmajor
+        self.mirror_t.is_some()
     }
 
     /// Number of resource rows.
@@ -332,7 +277,7 @@ impl DetectEngine {
         *self = DetectEngine {
             stats: self.stats,
             edits: self.edits,
-            ..DetectEngine::with_parallel(resources, processes, self.par_pool.take(), self.par_cfg)
+            ..DetectEngine::new(resources, processes)
         };
         if sparse_cfg != SparseConfig::default() {
             self.set_sparse(sparse_cfg);
@@ -544,8 +489,7 @@ impl DetectEngine {
         // Hybrid dispatch: the gate compares the live-edge count with
         // the dense engine's per-pass work for this shape (see
         // `SparseConfig`); paper scale always stays dense. The decision
-        // depends only on shape and live-edge count, so it is identical
-        // at every thread count.
+        // depends only on shape and live-edge count.
         let prefers_sparse =
             self.sparse_cfg
                 .prefers_sparse(self.resources(), self.processes(), self.live_edges);
@@ -574,74 +518,44 @@ impl DetectEngine {
             Some(sp) => sp.mark_stale(),
             None => {}
         }
-        let par = self.par_pool.as_ref().and_then(|pool| {
-            self.par_cfg
-                .area_allows(self.mirror.resources(), self.mirror.processes())
-                .then_some(ParExec {
-                    pool: pool.as_ref(),
-                    threads: self.par_cfg.effective_threads(),
-                    min_live_rows: self.par_cfg.min_live_rows,
-                })
-        });
-        let report = if self.colmajor {
-            // Column-major path for tall shapes: reduce the transposed
-            // mirror. The reduction is self-dual under transposition (see
-            // `reduction::terminal_reduction_with`), so verdict,
-            // `iterations` and `steps` are identical — but each pass
-            // walks `n` short rows instead of `m` tall ones.
-            debug_assert!(
-                self.mirror_t.as_ref().is_some_and(|maintained| {
-                    let mut t = StateMatrix::new(self.processes(), self.resources());
-                    self.mirror.transpose_into(&mut t);
-                    t == *maintained
-                }),
-                "transposed mirror diverged from the mirror"
-            );
-            let mirror_t = self.mirror_t.as_ref().expect("colmajor without mirror_t");
-            let work_t = self.work_t.as_mut().expect("colmajor without work_t");
-            for &t in &self.work_t_residue {
-                work_t.clear_row(t as usize);
-            }
-            self.work_t_residue.clear();
-            for &t in &self.cols.live {
-                work_t.copy_row_from(mirror_t, t as usize);
-            }
-            // The seed transposes along with the matrix: live columns
-            // become the row worklist.
-            let report = reduce_core(
-                work_t,
-                &mut self.scratch_t,
-                Some(&self.cols.live),
-                par.as_ref(),
-            );
-            self.work_t_residue
-                .extend_from_slice(self.scratch_t.residue());
-            report
-        } else {
-            // `work` is all-zero outside the residue rows the previous
-            // reduction left behind; clear those, then image only the live
-            // rows — O(residue + live) row copies, never a full-matrix one.
-            for &s in &self.work_residue {
-                self.work.clear_row(s as usize);
-            }
-            self.work_residue.clear();
-            for &s in &self.rows.live {
-                self.work.copy_row_from(&self.mirror, s as usize);
-            }
-            let report = reduce_core(
-                &mut self.work,
-                &mut self.scratch,
-                Some(&self.rows.live),
-                par.as_ref(),
-            );
-            self.work_residue.extend_from_slice(self.scratch.residue());
-            report
-        };
+        let report = self.reduce_dense();
         self.stats.dense_reductions += 1;
         self.stats.reductions += 1;
         let outcome: DetectOutcome = report.into();
         self.cache = Some((self.version, outcome));
         outcome
+    }
+
+    /// One dense reduction of the mirror, or of the transposed mirror on
+    /// the column-major path, whose rows are the live columns. `work` is
+    /// all-zero outside the residue rows the previous reduction left
+    /// behind: clear those, then image only the live rows — O(residue +
+    /// live) row copies, never a full-matrix one.
+    fn reduce_dense(&mut self) -> ReductionReport {
+        let (mirror, live) = match &self.mirror_t {
+            Some(t) => {
+                debug_assert!(
+                    {
+                        let mut fresh = StateMatrix::new(self.processes(), self.resources());
+                        self.mirror.transpose_into(&mut fresh);
+                        fresh == *t
+                    },
+                    "transposed mirror diverged from the mirror"
+                );
+                (t, &self.cols.live)
+            }
+            None => (&self.mirror, &self.rows.live),
+        };
+        for &s in &self.work_residue {
+            self.work.clear_row(s as usize);
+        }
+        self.work_residue.clear();
+        for &s in live {
+            self.work.copy_row_from(mirror, s as usize);
+        }
+        let report = reduce_core(&mut self.work, &mut self.scratch, Some(live));
+        self.work_residue.extend_from_slice(self.scratch.residue());
+        report
     }
 
     /// Full probe: sync the mirror to `rag` and detect. This is the
@@ -691,6 +605,21 @@ impl DetectEngine {
         self.stats = stats;
         self.cache = cached.map(|outcome| (self.version, outcome));
     }
+}
+
+/// `true` when an `m × n` engine reduces column-major: tall shapes
+/// (`m ≥ 8n`) of at least 256² cells, where each pass then walks `n`
+/// short rows instead of `m` tall ones (measured faster at 4096×64).
+///
+/// The reduction is self-dual under transposition: a terminal row of `M`
+/// (row BWO pair with `ra ^ ga`) is precisely a terminal column of `Mᵀ`
+/// and vice versa; one step removes the union of the edges of terminal
+/// rows and terminal columns computed from the same snapshot, a set that
+/// is symmetric in the two axes; and the completeness check (both BWO
+/// trees zero) is symmetric too. So reducing `Mᵀ` runs the same
+/// `iterations` and `steps` and reaches the same verdict.
+fn wants_colmajor(m: usize, n: usize) -> bool {
+    m >= 8 * n && m * n >= 256 * 256
 }
 
 /// One axis of the occupancy index: each line's (row's or column's) edge
@@ -1048,8 +977,24 @@ mod tests {
     }
 
     #[test]
+    fn colmajor_is_a_fixed_shape_rule() {
+        assert!(!wants_colmajor(64, 64));
+        assert!(wants_colmajor(4096, 64));
+        // Ratio edge (m = 8n) at an area past the floor.
+        assert!(wants_colmajor(1024, 128));
+        assert!(!wants_colmajor(1023, 128));
+        // Area edge (m·n = 256²) at a ratio past 8.
+        assert!(wants_colmajor(2048, 32));
+        assert!(!wants_colmajor(2047, 32));
+        // Tall but under the area floor.
+        assert!(!wants_colmajor(512, 64));
+        assert!(DetectEngine::new(4096, 64).is_colmajor());
+        assert!(!DetectEngine::new(64, 4096).is_colmajor());
+    }
+
+    #[test]
     fn occupancy_index_is_exact_after_every_write_path() {
-        // Tall enough for the column-major path, with rows in three words.
+        // A tall shape, 130 rows over 16 columns.
         let (m, n) = (130, 16);
         let mut e = DetectEngine::new(m, n);
         // DDU direct cell writes: insert, overwrite in place, clear.
@@ -1091,16 +1036,6 @@ mod tests {
         rag.add_grant(q(64), p(9)).unwrap();
         sync(&mut e, &rag);
         assert_eq!((e.stats().full_rebuilds, e.stats().delta_syncs), (3, 1));
-        // `set_parallel` turns the column-major path on: its reduction
-        // seeds from the live columns, which later syncs keep exact.
-        let cfg = ParConfig {
-            colmajor_ratio: 8,
-            colmajor_min_area: 0,
-            ..ParConfig::default()
-        };
-        e.set_parallel(None, cfg);
-        assert!(e.is_colmajor());
-        e.check_occupancy();
         for i in 0..4 {
             rag.add_request(p(i), q(100 + i)).unwrap();
             rag.remove_grant(q(i * 10 + 30), p(i + 3)).unwrap();

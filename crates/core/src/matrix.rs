@@ -351,21 +351,6 @@ impl StateMatrix {
         }
     }
 
-    /// A raw, shareable view of the row storage for the sharded reduction
-    /// path, where each shard reads and clears a disjoint contiguous range
-    /// of worklist rows. The view borrows the matrix mutably for its whole
-    /// lifetime, so no safe access can race with it; disjointness between
-    /// shards is the caller's obligation (see the `unsafe` methods).
-    #[inline]
-    pub(crate) fn rows_mut(&mut self) -> RowsMut<'_> {
-        RowsMut {
-            r: self.r.as_mut_ptr(),
-            g: self.g.as_mut_ptr(),
-            words: self.words,
-            _borrow: std::marker::PhantomData,
-        }
-    }
-
     /// Transposes this matrix into `dst`, which must be `n × m` (its rows
     /// are this matrix's columns). Both bit planes are transposed with a
     /// 64×64 bit-block kernel; phantom bits beyond either dimension stay
@@ -373,7 +358,7 @@ impl StateMatrix {
     ///
     /// This is the bridge to the column-major reduction variant for tall
     /// matrices: the terminal reduction is self-dual under transposition
-    /// (see `crate::reduction`), so reducing the transpose yields the
+    /// (see `crate::engine`), so reducing the transpose yields the
     /// identical report.
     ///
     /// # Panics
@@ -452,91 +437,6 @@ impl StateMatrix {
             }
         }
         (rows, cols)
-    }
-}
-
-/// Raw row access for the sharded reduction (see [`StateMatrix::rows_mut`]).
-///
-/// The methods mirror their safe `StateMatrix` counterparts but take
-/// `&self`, so shards can share one view; they are `unsafe` because
-/// nothing stops two shards from touching the same row — the reduction
-/// guarantees disjointness by handing each shard a contiguous,
-/// non-overlapping slice of the active-row worklist.
-pub(crate) struct RowsMut<'a> {
-    r: *mut u64,
-    g: *mut u64,
-    words: usize,
-    _borrow: std::marker::PhantomData<&'a mut StateMatrix>,
-}
-
-// SAFETY: the pointers come from an exclusive borrow held for the view's
-// lifetime, and every access contract requires row-disjoint use across
-// threads.
-unsafe impl Send for RowsMut<'_> {}
-unsafe impl Sync for RowsMut<'_> {}
-
-impl RowsMut<'_> {
-    /// Fused reduction scan of row `s` (see [`StateMatrix::row_scan`]).
-    ///
-    /// # Safety
-    ///
-    /// `s` must be in range and no other thread may be *writing* row `s`.
-    #[inline]
-    pub(crate) unsafe fn row_scan(&self, s: usize, cr: &mut [u64], cg: &mut [u64]) -> (bool, bool) {
-        debug_assert!(cr.len() >= self.words && cg.len() >= self.words);
-        let mut ra = 0u64;
-        let mut ga = 0u64;
-        for w in 0..self.words {
-            let i = s * self.words + w;
-            let r = unsafe { *self.r.add(i) };
-            let g = unsafe { *self.g.add(i) };
-            cr[w] |= r;
-            cg[w] |= g;
-            ra |= r;
-            ga |= g;
-        }
-        (ra != 0, ga != 0)
-    }
-
-    /// Zeroes row `s` in both planes (see [`StateMatrix::clear_row`]).
-    ///
-    /// # Safety
-    ///
-    /// `s` must be in range and no other thread may access row `s`.
-    #[inline]
-    pub(crate) unsafe fn clear_row(&self, s: usize) {
-        for w in 0..self.words {
-            let i = s * self.words + w;
-            unsafe {
-                *self.r.add(i) = 0;
-                *self.g.add(i) = 0;
-            }
-        }
-    }
-
-    /// Clears masked columns in row `s` and reports whether the row still
-    /// carries an edge afterwards — the removal half of a reduction pass
-    /// fused with the survivor check (see
-    /// [`StateMatrix::clear_columns_in_row`] / [`StateMatrix::row_is_empty`]).
-    ///
-    /// # Safety
-    ///
-    /// `s` must be in range and no other thread may access row `s`.
-    #[inline]
-    pub(crate) unsafe fn clear_columns_in_row_survives(&self, s: usize, mask: &[u64]) -> bool {
-        debug_assert!(mask.len() >= self.words);
-        let mut live = 0u64;
-        for (w, &mask_w) in mask.iter().enumerate().take(self.words) {
-            let i = s * self.words + w;
-            unsafe {
-                let r = *self.r.add(i) & !mask_w;
-                let g = *self.g.add(i) & !mask_w;
-                *self.r.add(i) = r;
-                *self.g.add(i) = g;
-                live |= r | g;
-            }
-        }
-        live != 0
     }
 }
 

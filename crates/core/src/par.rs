@@ -1,28 +1,14 @@
-//! Sharded execution support for the large-matrix reduction path.
+//! Thread placement: the host's CPU count and a best-effort CPU pin.
 //!
-//! The paper's DDU evaluates every matrix cell in the same clock; the
-//! software twin gets its parallelism from sharding the active-row
-//! worklist across a [`WorkerPool`] of persistent threads. The pool is
-//! deliberately minimal and std-only (the build is offline/vendored):
-//! a generation counter plus a lifetime-erased job pointer dispatches
-//! one closure to every worker, the caller participates as shard 0,
-//! and `run` blocks until every worker has finished — which is exactly
-//! the property that makes handing workers a borrowed closure sound.
-//!
-//! Determinism is a hard requirement here: [`ParConfig`] gates the
-//! parallel path on matrix shape and live-row counts only — never on
-//! wall clock, queue depths or thread scheduling — so a given input
-//! produces bit-identical results and [`crate::engine::Stats`] at any
-//! thread count.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+//! The service's core loops and the `svcbench` generator pin themselves
+//! with [`pin_current_thread`]; every auto-sizing decision reads
+//! [`host_cpus`]. Reductions are serial, so nothing here changes what
+//! any thread computes.
 
 /// Number of CPUs the host reports, with a floor of 1 when the query
-/// fails. The single source for every auto-sizing decision (shard
-/// counts, per-shard pool widths, event-loop thread counts), so a
-/// cgroup/affinity-limited host is respected consistently.
+/// fails. The single source for every auto-sizing decision (event-loop
+/// thread counts, bench gates), so a cgroup/affinity-limited host is
+/// respected consistently.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -34,12 +20,14 @@ pub fn host_cpus() -> usize {
 /// platforms this is a no-op returning `false`. A hint, not a
 /// guarantee — callers must behave identically whether or not the pin
 /// took effect (it only shifts *where* threads run, never *what* they
-/// compute, so the determinism contract is untouched).
+/// compute).
 pub fn pin_current_thread(cpu: usize) -> bool {
     affinity::pin(cpu % host_cpus())
 }
 
+/// The crate's one `unsafe` block: the `sched_setaffinity` FFI call.
 #[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
 mod affinity {
     /// One `cpu_set_t` worth of mask words (1024 bits, glibc's default).
     const MASK_WORDS: usize = 1024 / (8 * std::mem::size_of::<usize>());
@@ -55,7 +43,9 @@ mod affinity {
             return false;
         }
         mask[cpu / bits] |= 1usize << (cpu % bits);
-        // pid 0 = the calling thread.
+        // SAFETY: `mask` is a live, initialized array and `cpusetsize` is
+        // its exact size in bytes, so the kernel reads only valid memory;
+        // pid 0 names the calling thread.
         unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
     }
 }
@@ -67,413 +57,22 @@ mod affinity {
     }
 }
 
-/// Tuning knobs for the parallel/column-major reduction paths.
-///
-/// All gates are functions of the matrix shape and live-row count alone,
-/// so whether a probe takes the parallel path is a deterministic property
-/// of the input — two runs at different thread counts make identical
-/// gating decisions and produce bit-identical reductions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParConfig {
-    /// Number of shards (including the calling thread). `1` keeps every
-    /// reduction on the serial path regardless of pool availability.
-    pub threads: usize,
-    /// Minimum live rows in a pass before that pass is sharded; passes
-    /// below this stay serial (shard dispatch costs more than it saves).
-    pub min_live_rows: usize,
-    /// Minimum matrix area (`m * n`) before a reduction considers the
-    /// parallel path at all. `BENCH_reduce_scaling.json` measured the
-    /// sharded path *losing* to serial at 512² (0.26–0.59×) and 1024²
-    /// (0.44–0.87×), so the default keeps everything below 2048² —
-    /// including every paper-scale case — strictly serial.
-    pub min_area: usize,
-    /// Row/column aspect ratio (`m >= ratio * n`) at which tall matrices
-    /// switch to the column-major reduction variant. `0` disables the
-    /// column-major path entirely.
-    pub colmajor_ratio: usize,
-    /// Minimum matrix area before the column-major variant is
-    /// considered. Separate from `min_area`: column-major is a serial
-    /// layout decision (measured faster at 4096×64), not a sharding one,
-    /// so raising the sharding gate must not switch it off.
-    pub colmajor_min_area: usize,
-    /// When `true` (the default), the effective shard count is capped at
-    /// the measured [`host_cpus`], so a config asking for more threads
-    /// than the host has never auto-selects the (measured-slower)
-    /// oversubscribed path. Benches and equivalence tests that must
-    /// exercise the sharded code on small hosts opt out.
-    pub cap_to_host: bool,
-}
-
-impl Default for ParConfig {
-    fn default() -> Self {
-        ParConfig {
-            threads: 1,
-            min_live_rows: 256,
-            min_area: 2048 * 2048,
-            colmajor_ratio: 8,
-            colmajor_min_area: 256 * 256,
-            cap_to_host: true,
-        }
-    }
-}
-
-impl ParConfig {
-    /// A config that runs `threads` shards with the default gates.
-    pub fn with_threads(threads: usize) -> Self {
-        ParConfig {
-            threads: threads.max(1),
-            ..ParConfig::default()
-        }
-    }
-
-    /// Auto-sizes the per-pool thread count for `pools` co-resident
-    /// pools from [`host_cpus`]: the CPUs are divided evenly so the
-    /// total thread count never oversubscribes the host, with a floor
-    /// of 1 (serial) and a ceiling of 8 per pool. The shape/live-row
-    /// gates stay at their defaults, so paper-scale work remains serial
-    /// regardless of host size.
-    pub fn auto_for_shards(pools: usize) -> Self {
-        ParConfig::with_threads((host_cpus() / pools.max(1)).clamp(1, 8))
-    }
-
-    /// The shard count actually used: `threads`, capped at the measured
-    /// [`host_cpus`] when `cap_to_host` is set (floor 1). Host width is
-    /// fixed for a process lifetime, so this is still a deterministic
-    /// gate — two runs on the same host decide identically at any
-    /// requested thread count.
-    pub fn effective_threads(&self) -> usize {
-        let t = self.threads.max(1);
-        if self.cap_to_host {
-            t.min(host_cpus())
-        } else {
-            t
-        }
-    }
-
-    /// `true` if a matrix of this shape may use the sharded row path.
-    pub fn area_allows(&self, m: usize, n: usize) -> bool {
-        self.effective_threads() > 1 && m * n >= self.min_area
-    }
-
-    /// `true` if a matrix of this shape should reduce column-major.
-    pub fn wants_colmajor(&self, m: usize, n: usize) -> bool {
-        self.colmajor_ratio > 0 && m >= self.colmajor_ratio * n && m * n >= self.colmajor_min_area
-    }
-}
-
-/// The job currently being dispatched: a lifetime-erased pointer to the
-/// caller's `&(dyn Fn(usize) + Sync)`. Valid only between the generation
-/// bump in [`WorkerPool::run`] and the completion of all workers, which
-/// `run` waits for before returning — the borrow it erases outlives every
-/// dereference.
-#[derive(Clone, Copy)]
-struct JobPtr(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the pointee is `Sync` (shared calls from any thread are fine)
-// and the pointer is only dereferenced while `run` keeps the original
-// borrow alive.
-unsafe impl Send for JobPtr {}
-
-struct PoolState {
-    job: Option<JobPtr>,
-    generation: u64,
-    shutdown: bool,
-}
-
-struct Inner {
-    state: Mutex<PoolState>,
-    wake: Condvar,
-    /// Workers that have finished the current generation's job.
-    done: AtomicUsize,
-}
-
-/// A persistent pool of `threads - 1` worker threads plus the caller.
-///
-/// [`WorkerPool::run`] hands every shard (worker threads *and* the calling
-/// thread, as shard 0) the same `Fn(usize)` job, invoked with the shard
-/// index, and returns once all shards have finished. Workers park on a
-/// condvar between jobs, so an idle pool costs nothing; dispatch is one
-/// mutex round-trip plus a notify.
-///
-/// One pool is meant to be shared — e.g. one per service shard worker,
-/// serving every session pinned to that shard — so `run` takes `&self`
-/// and serializes concurrent callers internally.
-pub struct WorkerPool {
-    inner: Arc<Inner>,
-    /// Serializes `run` callers: a job's shard results live in borrowed
-    /// caller state, so two jobs can never be in flight at once.
-    run_lock: Mutex<()>,
-    threads: usize,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawns a pool running `threads` shards: `threads - 1` workers plus
-    /// the calling thread. `threads <= 1` spawns nothing and makes `run`
-    /// a plain inline call.
-    pub fn new(threads: usize) -> Self {
-        Self::spawn(threads, None)
-    }
-
-    /// Like [`WorkerPool::new`], but each spawned worker `i` (shard
-    /// indices `1..threads`) additionally pins itself to CPU
-    /// `first_cpu + i` round-robin over [`host_cpus`] — an affinity
-    /// *hint* via [`pin_current_thread`]; results are identical whether
-    /// or not the pins take. The caller (shard 0) is not pinned here:
-    /// it owns its own placement.
-    pub fn new_pinned(threads: usize, first_cpu: usize) -> Self {
-        Self::spawn(threads, Some(first_cpu))
-    }
-
-    fn spawn(threads: usize, first_cpu: Option<usize>) -> Self {
-        let threads = threads.max(1);
-        let inner = Arc::new(Inner {
-            state: Mutex::new(PoolState {
-                job: None,
-                generation: 0,
-                shutdown: false,
-            }),
-            wake: Condvar::new(),
-            done: AtomicUsize::new(0),
-        });
-        let handles = (1..threads)
-            .map(|shard| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("deltaos-par-{shard}"))
-                    .spawn(move || {
-                        if let Some(base) = first_cpu {
-                            pin_current_thread(base + shard);
-                        }
-                        worker_loop(&inner, shard)
-                    })
-                    .expect("spawn reduction worker")
-            })
-            .collect();
-        WorkerPool {
-            inner,
-            run_lock: Mutex::new(()),
-            threads,
-            handles,
-        }
-    }
-
-    /// Number of shards this pool runs (including the caller).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `job(shard)` for every shard index in `0..threads()`, shard 0
-    /// on the calling thread, and returns when all shards are done. The
-    /// job must tolerate shard indices beyond its useful work (it simply
-    /// returns for them) — chunked worklists routinely leave tail shards
-    /// empty.
-    pub fn run(&self, job: &(dyn Fn(usize) + Sync)) {
-        if self.threads == 1 {
-            job(0);
-            return;
-        }
-        let _serialize = self.run_lock.lock().unwrap();
-        self.inner.done.store(0, Ordering::Relaxed);
-        // SAFETY: the lifetime is erased (the `dyn` pointer type demands
-        // `'static`), but the borrow stays alive until the wait loop below
-        // has seen every worker finish — no worker dereferences the
-        // pointer after that.
-        let erased: &'static (dyn Fn(usize) + Sync) =
-            unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(job) };
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.job = Some(JobPtr(erased));
-            st.generation += 1;
-            self.inner.wake.notify_all();
-        }
-        job(0);
-        // Wait for the workers. A short spin covers the common case where
-        // shards finish within each other's cache-line latency; beyond
-        // that, yield — on single-core hosts the workers cannot progress
-        // until the caller gives up the CPU.
-        let workers = self.threads - 1;
-        let mut spins = 0u32;
-        while self.inner.done.load(Ordering::Acquire) < workers {
-            spins += 1;
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        self.inner.state.lock().unwrap().job = None;
-    }
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "WorkerPool({} threads)", self.threads)
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.shutdown = true;
-            self.inner.wake.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(inner: &Inner, shard: usize) {
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut st = inner.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.generation != seen {
-                    seen = st.generation;
-                    break st.job.expect("generation bumped without a job");
-                }
-                st = inner.wake.wait(st).unwrap();
-            }
-        };
-        // SAFETY: `run` holds the borrow behind this pointer until every
-        // worker has bumped `done` for this generation, which happens
-        // strictly after this call returns.
-        unsafe { (*job.0)(shard) };
-        inner.done.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Splits `len` items into `shards` contiguous chunks; returns the bounds
-/// of chunk `k`. Chunk boundaries depend only on `len` and `shards`, so
-/// the shard → rows assignment is deterministic. Tail chunks may be empty.
-#[inline]
-pub(crate) fn chunk_bounds(len: usize, shards: usize, k: usize) -> (usize, usize) {
-    let chunk = len.div_ceil(shards.max(1));
-    let lo = (k * chunk).min(len);
-    let hi = (lo + chunk).min(len);
-    (lo, hi)
-}
+/// No settings: the argument type of `svcbench`'s
+/// `Broker::new(…, None, ParConfig::default())` call shape, kept until
+/// the benchmark drops it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ParConfig;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn pool_runs_every_shard_exactly_once() {
-        let pool = WorkerPool::new(4);
-        let hits: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
-        for _ in 0..100 {
-            pool.run(&|k| {
-                hits[k].fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), 100);
-        }
-    }
-
-    #[test]
-    fn single_thread_pool_runs_inline() {
-        let pool = WorkerPool::new(1);
-        let mut seen = Vec::new();
-        // With one shard the job runs on the caller; a non-Sync capture
-        // via Cell would not compile, so record through an atomic.
-        let count = AtomicU64::new(0);
-        pool.run(&|k| {
-            count.fetch_add(1 + k as u64, Ordering::Relaxed);
-        });
-        seen.push(count.load(Ordering::Relaxed));
-        assert_eq!(seen, vec![1]);
-    }
-
-    #[test]
-    fn shard_results_are_visible_after_run() {
-        // Each shard writes to its own slot through interior mutability;
-        // run() must establish the happens-before needed to read them.
-        struct Slot(std::cell::UnsafeCell<u64>);
-        unsafe impl Sync for Slot {}
-        let pool = WorkerPool::new(8);
-        let slots: Vec<Slot> = (0..8)
-            .map(|_| Slot(std::cell::UnsafeCell::new(0)))
-            .collect();
-        pool.run(&|k| unsafe { *slots[k].0.get() = k as u64 + 1 });
-        let total: u64 = slots.iter().map(|s| unsafe { *s.0.get() }).sum();
-        assert_eq!(total, (1..=8).sum::<u64>());
-    }
-
-    #[test]
-    fn chunk_bounds_cover_and_partition() {
-        for len in [0usize, 1, 7, 64, 100, 300] {
-            for shards in 1..=9 {
-                let mut covered = 0;
-                for k in 0..shards {
-                    let (lo, hi) = chunk_bounds(len, shards, k);
-                    assert!(lo <= hi && hi <= len);
-                    assert_eq!(lo, covered.min(len));
-                    covered = hi.max(covered);
-                }
-                assert_eq!(covered, len, "len {len} shards {shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn host_sizing_has_a_floor_and_a_ceiling() {
+    fn pinning_is_a_hint_and_wraps_out_of_range_cpus() {
         assert!(host_cpus() >= 1);
-        for pools in 1..=16 {
-            let cfg = ParConfig::auto_for_shards(pools);
-            assert!((1..=8).contains(&cfg.threads), "pools {pools}");
-            // The pools together never oversubscribe the host (beyond
-            // the serial floor of one caller thread each).
-            assert!(cfg.threads == 1 || pools * cfg.threads <= host_cpus());
-        }
-    }
-
-    #[test]
-    fn pinned_pool_runs_every_shard_and_pinning_is_a_hint() {
-        // Whether or not the affinity syscall succeeds, the pool must
-        // behave identically to an unpinned one.
-        let pool = WorkerPool::new_pinned(3, 0);
-        let hits: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(0)).collect();
-        for _ in 0..50 {
-            pool.run(&|k| {
-                hits[k].fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), 50);
-        }
-        // Out-of-range CPUs wrap via the modulo rather than erroring.
+        // Out-of-range CPUs wrap via the modulo rather than erroring;
+        // whether the kernel takes the pin is the host's business.
         let _ = pin_current_thread(usize::MAX);
-    }
-
-    #[test]
-    fn default_gates_keep_paper_scale_serial() {
-        // Shape gates, independent of host width.
-        let cfg = ParConfig {
-            cap_to_host: false,
-            ..ParConfig::with_threads(8)
-        };
-        assert!(!cfg.area_allows(50, 50));
-        // 512² and 1024² measured slower than serial under sharding
-        // (BENCH_reduce_scaling.json): the area gate keeps them serial.
-        assert!(!cfg.area_allows(512, 512));
-        assert!(!cfg.area_allows(1024, 1024));
-        assert!(cfg.area_allows(2048, 2048));
-        assert!(!cfg.wants_colmajor(64, 64));
-        assert!(cfg.wants_colmajor(4096, 64));
-        // The default caps shards at the host's measured width, so a
-        // narrow host never runs the oversubscribed path.
-        let capped = ParConfig::with_threads(8);
-        assert!(capped.cap_to_host);
-        assert!(capped.effective_threads() <= host_cpus());
-        assert!(capped.effective_threads() >= 1);
+        let _ = pin_current_thread(host_cpus());
     }
 }

@@ -79,6 +79,9 @@ pub struct Rag {
     /// `requests[q]` = processes with a request edge `p → q`, in insertion
     /// order (deterministic iteration).
     requests: Vec<Vec<ProcId>>,
+    /// Edges (requests + grants), kept by every mutator so
+    /// [`Rag::edge_count`] is O(1).
+    edges: usize,
     /// Unique graph identity (see [`Rag::id`]); a [`Clone`] gets a fresh
     /// one so engine caches never confuse two diverging copies.
     id: u64,
@@ -113,6 +116,7 @@ impl Clone for Rag {
             processes: self.processes,
             owner: self.owner.clone(),
             requests: self.requests.clone(),
+            edges: self.edges,
             id: fresh_rag_id(),
             epoch: self.epoch,
             journal: self.journal.clone(),
@@ -129,6 +133,7 @@ impl Rag {
             processes,
             owner: vec![None; resources],
             requests: vec![Vec::new(); resources],
+            edges: 0,
             id: fresh_rag_id(),
             epoch: 0,
             journal: VecDeque::new(),
@@ -230,6 +235,7 @@ impl Rag {
             });
         }
         self.requests[q.index()].push(p);
+        self.edges += 1;
         self.record(RagDelta::Request { p, q });
         Ok(())
     }
@@ -253,7 +259,13 @@ impl Rag {
                 owner: cur,
             });
         }
-        self.requests[q.index()].retain(|&r| r != p);
+        let reqs = &mut self.requests[q.index()];
+        let before = reqs.len();
+        reqs.retain(|&r| r != p);
+        // A consumed request becomes the grant: one edge either way.
+        if reqs.len() == before {
+            self.edges += 1;
+        }
         self.owner[q.index()] = Some(p);
         self.record(RagDelta::Grant { p, q });
         Ok(())
@@ -270,6 +282,7 @@ impl Rag {
         reqs.retain(|&r| r != p);
         let removed = reqs.len() != before;
         if removed {
+            self.edges -= 1;
             self.record(RagDelta::Clear { p, q });
         }
         removed
@@ -290,6 +303,7 @@ impl Rag {
             });
         }
         self.owner[q.index()] = None;
+        self.edges -= 1;
         self.record(RagDelta::Clear { p, q });
         Ok(())
     }
@@ -325,11 +339,9 @@ impl Rag {
             .collect()
     }
 
-    /// Total number of edges (requests + grants).
+    /// Total number of edges (requests + grants), in O(1).
     pub fn edge_count(&self) -> usize {
-        let grants = self.owner.iter().filter(|o| o.is_some()).count();
-        let requests: usize = self.requests.iter().map(Vec::len).sum();
-        grants + requests
+        self.edges
     }
 
     /// `true` when the graph has no edges at all.
@@ -524,6 +536,44 @@ mod tests {
         rag.add_grant(q(0), p(0)).unwrap();
         let err = rag.add_request(p(0), q(0)).unwrap_err();
         assert!(matches!(err, CoreError::RequestWhileHolding { .. }));
+    }
+
+    #[test]
+    fn edge_count_matches_a_recount_after_every_operation() {
+        fn recount(rag: &Rag) -> usize {
+            let grants = rag.owner.iter().filter(|o| o.is_some()).count();
+            let requests: usize = rag.requests.iter().map(Vec::len).sum();
+            grants + requests
+        }
+        let mut rag = Rag::new(6, 5);
+        let mut state = 0x5EED_u64;
+        let mut below = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let (mut ok, mut failed) = (0, 0);
+        for _ in 0..4_000 {
+            // Ids one past each bound, so out-of-range calls fail too.
+            let p = p(below(6) as u16);
+            let q = q(below(7) as u16);
+            let done = match below(4) {
+                0 => rag.add_request(p, q).is_ok(),
+                1 => rag.add_grant(q, p).is_ok(),
+                2 => rag.remove_request(p, q),
+                _ => rag.remove_grant(q, p).is_ok(),
+            };
+            if done {
+                ok += 1;
+            } else {
+                failed += 1;
+            }
+            assert_eq!(rag.edge_count(), recount(&rag));
+            assert_eq!(rag.is_empty(), recount(&rag) == 0);
+        }
+        assert!(ok > 500 && failed > 500, "{ok} ok, {failed} failed");
+        assert_eq!(rag.clone().edge_count(), recount(&rag));
     }
 
     #[test]

@@ -13,11 +13,7 @@
 //! terminals, and an OR over all τ bits produces the termination condition
 //! `T_iter`.
 
-use std::cell::UnsafeCell;
-use std::fmt;
-
 use crate::matrix::StateMatrix;
-use crate::par::{chunk_bounds, ParConfig, WorkerPool};
 
 /// Result of running the terminal reduction sequence on a matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,93 +48,6 @@ pub struct ReduceScratch {
     col_g: Vec<u64>,
     /// Worklist of rows that still carry edges.
     active: Vec<u32>,
-    /// Per-shard accumulators for the parallel path; empty until a
-    /// sharded pass runs.
-    par: ParScratch,
-}
-
-/// Per-shard working state for sharded passes. Shards write their own
-/// slot through interior mutability while [`reduce_core`] holds the only
-/// reference to the scratch, so slots are disjoint by construction.
-#[derive(Default)]
-struct ParScratch {
-    shards: Vec<ShardSlot>,
-}
-
-struct ShardSlot(UnsafeCell<ShardAcc>);
-
-// SAFETY: each shard index touches only its own slot, and slots are only
-// accessed inside `WorkerPool::run`, which joins all shards before
-// returning control to the single-threaded reduction.
-unsafe impl Sync for ShardSlot {}
-
-/// One shard's column BWO accumulators, terminal flag and survivor list.
-#[derive(Default, Clone)]
-struct ShardAcc {
-    col_r: Vec<u64>,
-    col_g: Vec<u64>,
-    any_terminal: bool,
-    survivors: Vec<u32>,
-}
-
-impl ParScratch {
-    fn ensure(&mut self, shards: usize, words: usize) {
-        while self.shards.len() < shards {
-            self.shards
-                .push(ShardSlot(UnsafeCell::new(ShardAcc::default())));
-        }
-        for slot in &mut self.shards[..shards] {
-            let acc = slot.0.get_mut();
-            if acc.col_r.len() < words {
-                acc.col_r.resize(words, 0);
-                acc.col_g.resize(words, 0);
-            }
-        }
-    }
-}
-
-impl Clone for ParScratch {
-    fn clone(&self) -> Self {
-        // Scratch contents are per-pass temporaries; a clone starts cold.
-        ParScratch::default()
-    }
-}
-
-impl fmt::Debug for ParScratch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ParScratch({} shards)", self.shards.len())
-    }
-}
-
-/// Raw pointer to the terminal-row flags so parallel scan shards can set
-/// flags for their (disjoint) rows. Accessed only through
-/// [`TermPtr::set`] so closures capture the (Sync) wrapper, not the raw
-/// field.
-#[derive(Clone, Copy)]
-struct TermPtr(*mut bool);
-// SAFETY: shards write disjoint indices (each worklist row id appears in
-// exactly one chunk) and the pool joins before the flags are read.
-unsafe impl Send for TermPtr {}
-unsafe impl Sync for TermPtr {}
-
-impl TermPtr {
-    /// # Safety
-    ///
-    /// `i` must be in bounds and written by at most one shard per pass.
-    #[inline]
-    unsafe fn set(&self, i: usize, flag: bool) {
-        unsafe { *self.0.add(i) = flag };
-    }
-}
-
-/// Sharded-execution context for [`reduce_core`]: the pool plus the gates
-/// that decide, per pass, whether sharding pays for itself. Callers pass
-/// it only when [`ParConfig::area_allows`] already approved the matrix
-/// shape.
-pub(crate) struct ParExec<'a> {
-    pub(crate) pool: &'a WorkerPool,
-    pub(crate) threads: usize,
-    pub(crate) min_live_rows: usize,
 }
 
 impl ReduceScratch {
@@ -175,25 +84,12 @@ impl ReduceScratch {
 /// to build it. Rows outside the worklist are skipped entirely — empty
 /// rows contribute nothing to the column BWO trees and can never be
 /// terminal, so the verdict, `iterations` and `steps` are identical to a
-/// full scan, pass for pass. Every pass clears, merges and masks all
-/// column words.
-///
-/// `par` enables the sharded path: passes with at least
-/// [`ParExec::min_live_rows`] live rows split the worklist into
-/// contiguous chunks, run the fused row scan per shard into per-shard
-/// column-word accumulators, and OR-merge those in shard order before
-/// the terminal-column mask step. Because the merge is a pure OR over
-/// disjoint row sets, the merged accumulators equal the serial ones bit
-/// for bit; terminal flags are written positionally; and the post-removal
-/// worklist is rebuilt by concatenating per-shard survivor lists in shard
-/// order, which reproduces the serial `retain` order exactly. Results,
-/// `iterations` and `steps` are therefore bit-identical to the serial
-/// path at any thread count.
+/// full scan, pass for pass. Every pass clears and masks all column
+/// words.
 pub(crate) fn reduce_core(
     matrix: &mut StateMatrix,
     scratch: &mut ReduceScratch,
     seed: Option<&[u32]>,
-    par: Option<&ParExec<'_>>,
 ) -> ReductionReport {
     let m = matrix.resources();
     let words = matrix.words_per_row();
@@ -224,19 +120,9 @@ pub(crate) fn reduce_core(
         );
     }
 
-    // Shard count for this reduction; individual passes still fall back
-    // to the serial loop when too few rows are live.
-    let par_threads = par.map_or(1, |p| p.threads.min(p.pool.threads()).max(1));
-    let par_min_live = par.map_or(usize::MAX, |p| p.min_live_rows);
-
     let complete;
     loop {
         steps += 1;
-
-        // The gate is a function of the live-row count only, so the
-        // serial/sharded decision — and with it every observable result —
-        // is deterministic for a given input, at any thread count.
-        let par_pass = par_threads > 1 && scratch.active.len() >= par_min_live;
 
         // Equation 3/4, both sides in one fused scan: each live row is
         // read exactly once, feeding the column BWO accumulators *and*
@@ -246,56 +132,11 @@ pub(crate) fn reduce_core(
         let mut any_terminal = false;
         scratch.col_r[..words].fill(0);
         scratch.col_g[..words].fill(0);
-        if par_pass {
-            let pool = par.expect("par_pass implies par").pool;
-            scratch.par.ensure(par_threads, words);
-            let shards = &scratch.par.shards[..par_threads];
-            let active = &scratch.active;
-            let term = TermPtr(scratch.terminal_rows.as_mut_ptr());
-            {
-                let rows = matrix.rows_mut();
-                pool.run(&|k| {
-                    if k >= par_threads {
-                        return;
-                    }
-                    // SAFETY: shard `k` is the only accessor of slot `k`,
-                    // and the chunks below are disjoint row-id ranges of
-                    // the worklist, so terminal-flag writes and row reads
-                    // never alias across shards.
-                    let acc = unsafe { &mut *shards[k].0.get() };
-                    acc.col_r[..words].fill(0);
-                    acc.col_g[..words].fill(0);
-                    let (lo, hi) = chunk_bounds(active.len(), par_threads, k);
-                    let mut any = false;
-                    for &s in &active[lo..hi] {
-                        let (ra, ga) =
-                            unsafe { rows.row_scan(s as usize, &mut acc.col_r, &mut acc.col_g) };
-                        let flag = ra ^ ga;
-                        unsafe { term.set(s as usize, flag) };
-                        any |= flag;
-                    }
-                    acc.any_terminal = any;
-                });
-            }
-            // OR-merge the shard accumulators in shard order. OR is
-            // commutative and the shards cover disjoint row ranges, so
-            // the merged words equal a serial scan's bit for bit.
-            for slot in &scratch.par.shards[..par_threads] {
-                // SAFETY: the pool joined; this is the only reference.
-                let acc = unsafe { &*slot.0.get() };
-                any_terminal |= acc.any_terminal;
-                for w in 0..words {
-                    scratch.col_r[w] |= acc.col_r[w];
-                    scratch.col_g[w] |= acc.col_g[w];
-                }
-            }
-        } else {
-            for &s in &scratch.active {
-                let (ra, ga) = matrix.row_scan(s as usize, &mut scratch.col_r, &mut scratch.col_g);
-                let flag = ra ^ ga;
-                scratch.terminal_rows[s as usize] = flag;
-                any_terminal |= flag;
-            }
+        for &s in &scratch.active {
+            let (ra, ga) = matrix.row_scan(s as usize, &mut scratch.col_r, &mut scratch.col_g);
+            let flag = ra ^ ga;
+            scratch.terminal_rows[s as usize] = flag;
+            any_terminal |= flag;
         }
         // τ_ct = r-any XOR g-any, per column, restricted to columns that
         // actually have edges (XOR of two zero bits is zero, so empty
@@ -320,54 +161,16 @@ pub(crate) fn reduce_core(
         // The removal half of ε (lines 8–9 of Algorithm 1), rows and
         // columns "in parallel": both removals are computed from the same
         // pre-removal snapshot, exactly like the hardware.
-        if par_pass {
-            let pool = par.expect("par_pass implies par").pool;
-            let shards = &scratch.par.shards[..par_threads];
-            let active = &scratch.active;
-            let terminal = &scratch.terminal_rows;
-            let mask = &scratch.col_mask[..words];
-            {
-                let rows = matrix.rows_mut();
-                pool.run(&|k| {
-                    if k >= par_threads {
-                        return;
-                    }
-                    // SAFETY: disjoint chunks again; each shard clears
-                    // only its own rows and records its own survivors.
-                    let acc = unsafe { &mut *shards[k].0.get() };
-                    acc.survivors.clear();
-                    let (lo, hi) = chunk_bounds(active.len(), par_threads, k);
-                    for &s in &active[lo..hi] {
-                        let su = s as usize;
-                        if terminal[su] {
-                            unsafe { rows.clear_row(su) };
-                        } else if unsafe { rows.clear_columns_in_row_survives(su, mask) } {
-                            acc.survivors.push(s);
-                        }
-                    }
-                });
+        for i in 0..scratch.active.len() {
+            let s = scratch.active[i] as usize;
+            if scratch.terminal_rows[s] {
+                matrix.clear_row(s);
+            } else {
+                matrix.clear_columns_in_row(s, &scratch.col_mask[..words]);
             }
-            // Rebuild the worklist as the shard-ordered concatenation of
-            // survivor lists — chunks are contiguous worklist slices, so
-            // this is exactly the order a serial `retain` would leave.
-            scratch.active.clear();
-            for slot in &scratch.par.shards[..par_threads] {
-                // SAFETY: the pool joined; this is the only reference.
-                let acc = unsafe { &*slot.0.get() };
-                scratch.active.extend_from_slice(&acc.survivors);
-            }
-        } else {
-            for i in 0..scratch.active.len() {
-                let s = scratch.active[i] as usize;
-                if scratch.terminal_rows[s] {
-                    matrix.clear_row(s);
-                } else {
-                    matrix.clear_columns_in_row(s, &scratch.col_mask[..words]);
-                }
-            }
-            // Drop rows that just went empty from the worklist.
-            scratch.active.retain(|&s| !matrix.row_is_empty(s as usize));
         }
+        // Drop rows that just went empty from the worklist.
+        scratch.active.retain(|&s| !matrix.row_is_empty(s as usize));
     }
 
     debug_assert_eq!(complete, matrix.is_empty());
@@ -406,61 +209,7 @@ pub(crate) fn reduce_core(
 /// ```
 pub fn terminal_reduction(matrix: &mut StateMatrix) -> ReductionReport {
     let mut scratch = ReduceScratch::new();
-    reduce_core(matrix, &mut scratch, None, None)
-}
-
-/// Runs the terminal reduction with an explicit [`ParConfig`], optionally
-/// backed by a [`WorkerPool`] — the configurable twin of
-/// [`terminal_reduction`] used by the scaling benchmark and by callers
-/// that manage their own pool.
-///
-/// Three paths, all producing bit-identical reports and final matrices:
-///
-/// * serial (default, and always for matrices below the config's gates),
-/// * sharded row scan when `cfg.threads > 1`, a pool is supplied, and the
-///   matrix clears [`ParConfig::min_area`],
-/// * column-major for tall matrices (`m >= colmajor_ratio * n`): the
-///   matrix is transposed, reduced, and transposed back.
-///
-/// The column-major equivalence rests on the reduction being **self-dual**
-/// under transposition: a terminal row of `M` (row BWO pair with
-/// `ra ^ ga`) is precisely a terminal column of `Mᵀ` and vice versa; one
-/// reduction step removes the union of the edges of terminal rows and
-/// terminal columns computed from the same snapshot, a set that is
-/// symmetric in the two axes; and the completeness check (`both BWO trees
-/// zero`) is symmetric too. So the reduction of `Mᵀ` runs the same number
-/// of `iterations`/`steps` and ends at the transposed irreducible matrix.
-pub fn terminal_reduction_with(
-    matrix: &mut StateMatrix,
-    pool: Option<&WorkerPool>,
-    cfg: ParConfig,
-) -> ReductionReport {
-    let (m, n) = (matrix.resources(), matrix.processes());
-    if cfg.wants_colmajor(m, n) {
-        let mut transposed = StateMatrix::new(n, m);
-        matrix.transpose_into(&mut transposed);
-        let report = reduce_standalone(&mut transposed, pool, cfg);
-        transposed.transpose_into(matrix);
-        return report;
-    }
-    reduce_standalone(matrix, pool, cfg)
-}
-
-fn reduce_standalone(
-    matrix: &mut StateMatrix,
-    pool: Option<&WorkerPool>,
-    cfg: ParConfig,
-) -> ReductionReport {
-    let mut scratch = ReduceScratch::new();
-    let par = pool.and_then(|p| {
-        cfg.area_allows(matrix.resources(), matrix.processes())
-            .then_some(ParExec {
-                pool: p,
-                threads: cfg.threads,
-                min_live_rows: cfg.min_live_rows,
-            })
-    });
-    reduce_core(matrix, &mut scratch, None, par.as_ref())
+    reduce_core(matrix, &mut scratch, None)
 }
 
 /// Upper bound on reduction steps proven in the paper's technical report:

@@ -146,9 +146,8 @@ use crate::{ProcId, Rag, RagDelta, ResId};
 /// [`crate::engine::DetectEngine`].
 ///
 /// Both gates are functions of matrix shape and live-edge count alone —
-/// never of thread counts or timing — so which engine serves a probe is
-/// a deterministic property of the input, and stats stay bit-identical
-/// across thread counts.
+/// never of timing — so which engine serves a probe is a deterministic
+/// property of the input, and so are the stats.
 ///
 /// The default is fitted to the crossover grid in `BENCH_sparse.json`
 /// (the `detect_sparse` bench: forced-dense against forced-sparse edit +
@@ -1104,8 +1103,9 @@ mod tests {
         (mat, sp)
     }
 
-    /// The `par_equivalence` peel chain in both encodings: row `s` is
-    /// granted to process `s` and requested by process `s + 1`.
+    /// A peel chain in both encodings: row `s` is granted to process `s`
+    /// and requested by process `s + 1`, so the reduction takes Θ(m)
+    /// passes.
     fn peel_pair(m: usize, n: usize) -> (StateMatrix, SparseState) {
         let mut mat = StateMatrix::new(m, n);
         let mut sp = SparseState::new(m, n);

@@ -9,6 +9,7 @@
 //! failures replay exactly.
 
 use deltaos_core::engine::DetectEngine;
+use deltaos_core::sparse::SparseConfig;
 use deltaos_core::{pdda, ProcId, Rag, ResId};
 
 /// Knuth's MMIX LCG — good enough to scatter edit sequences, and fully
@@ -177,6 +178,30 @@ fn wide_matrices_agree_on_multi_word_rows_and_tail_words() {
             }
         }
         assert_agrees(&mut engine, &rag, seq, 40);
+    }
+}
+
+#[test]
+fn colmajor_engine_matches_cold_path_on_tall_matrices() {
+    // 1024×64 is tall (m ≥ 8n) and past the 256² area floor, so the
+    // engine keeps the transposed mirror and reduces column-major; the
+    // cold path stays row-major, so agreement certifies the self-duality
+    // argument. The sparse mirror is off so every probe reduces dense.
+    for t in 1..=8u64 {
+        let mut engine = DetectEngine::new(1024, 64);
+        engine.set_sparse(SparseConfig::disabled());
+        assert!(engine.is_colmajor(), "1024x64 must go column-major");
+        let mut rng = Lcg::new(0x7A11 ^ t);
+        let mut rag = Rag::new(1024, 64);
+        for op in 0..300 {
+            random_edit(&mut rag, &mut rng);
+            if rng.below(8) == 0 {
+                assert_agrees(&mut engine, &rag, t, op);
+            }
+        }
+        assert_agrees(&mut engine, &rag, t, 300);
+        let stats = engine.stats();
+        assert_eq!(stats.dense_reductions, stats.reductions);
     }
 }
 

@@ -3,23 +3,18 @@
 //! The hybrid dispatcher's contract is that the sparse adjacency-list
 //! engine is **bit-identical** to the dense matrix engine: same
 //! [`DetectOutcome`] (verdict, `iterations`, `steps`) on every input,
-//! and deterministic stats at every thread count. These tests drive the
+//! and deterministic stats. These tests drive the
 //! *same* LCG-generated edge-delta streams — including deletions,
 //! probe-only stretches and streams that oscillate across the hybrid
 //! edge threshold — through forced-dense, forced-sparse and hybrid
 //! engines, checking every probe against [`pdda::detect_cold`]. Sparse
 //! probes of different shapes interleave on shared threads, which checks
 //! the per-thread reduction workspace.
-//!
-//! `DELTAOS_TEST_THREADS=k` pins the sweep to one thread count (the CI
-//! matrix runs k ∈ {1, 2, 8}); unset, all of 1–8 are tested.
 
 use deltaos_core::engine::{DetectEngine, EngineStats};
-use deltaos_core::par::{ParConfig, WorkerPool};
 use deltaos_core::pdda::DetectOutcome;
 use deltaos_core::sparse::SparseConfig;
 use deltaos_core::{pdda, ProcId, Rag, ResId};
-use std::sync::Arc;
 
 struct Lcg(u64);
 
@@ -41,27 +36,8 @@ impl Lcg {
     }
 }
 
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("DELTAOS_TEST_THREADS") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("DELTAOS_TEST_THREADS must be a thread count")],
-        Err(_) => (1..=8).collect(),
-    }
-}
-
-/// Parallel gates forced open so the dense engine actually shards at
-/// test sizes — the sparse path must match the *sharded* dense path too.
-fn forced_par(threads: usize) -> ParConfig {
-    ParConfig {
-        threads,
-        min_live_rows: 1,
-        min_area: 1,
-        colmajor_ratio: 0,
-        colmajor_min_area: 1,
-        cap_to_host: false,
-    }
-}
+/// Seed salts: each randomized stream runs once per salt.
+const SALTS: std::ops::RangeInclusive<u64> = 1..=8;
 
 /// One random mutation against the RAG: request/grant adds and removes
 /// in a mix that exercises grant-consumes-request and no-op removals.
@@ -102,24 +78,22 @@ fn path_independent(s: EngineStats) -> (u64, u64, u64, u64, u64, u64, u64, u64) 
 
 #[test]
 fn identical_streams_through_dense_and_sparse_are_bit_identical() {
-    for t in thread_counts() {
-        let pool = Arc::new(WorkerPool::new(t));
+    for t in SALTS {
         for seq in 0..4u64 {
-            let mut dense =
-                DetectEngine::with_parallel(256, 256, Some(pool.clone()), forced_par(t));
+            let mut dense = DetectEngine::new(256, 256);
             dense.set_sparse(SparseConfig::disabled());
-            let mut sparse = DetectEngine::with_parallel(256, 256, None, ParConfig::default());
+            let mut sparse = DetectEngine::new(256, 256);
             sparse.set_sparse(SparseConfig::always());
             let mut rag = Rag::new(256, 256);
-            let mut rng = Lcg::new(0x5BA12E ^ (seq << 8) ^ t as u64);
+            let mut rng = Lcg::new(0x5BA12E ^ (seq << 8) ^ t);
             for op in 0..400 {
                 random_op(&mut rng, &mut rag, 256, 256);
                 if rng.below(6) == 0 {
                     let d = dense.probe(&rag);
                     let s = sparse.probe(&rag);
                     let cold = pdda::detect_cold(&rag);
-                    assert_eq!(d, s, "t={t} seq={seq} op={op}: dense vs sparse");
-                    assert_eq!(s, cold, "t={t} seq={seq} op={op}: sparse vs cold");
+                    assert_eq!(d, s, "salt={t} seq={seq} op={op}: dense vs sparse");
+                    assert_eq!(s, cold, "salt={t} seq={seq} op={op}: sparse vs cold");
                 }
             }
             assert_eq!(dense.probe(&rag), sparse.probe(&rag));
@@ -127,7 +101,7 @@ fn identical_streams_through_dense_and_sparse_are_bit_identical() {
             assert_eq!(
                 path_independent(ds),
                 path_independent(ss),
-                "t={t} seq={seq}: path-independent stats diverged"
+                "salt={t} seq={seq}: path-independent stats diverged"
             );
             assert_eq!(ds.sparse_reductions, 0, "forced-dense must never go sparse");
             assert_eq!(ds.dense_reductions, ds.reductions);
@@ -167,12 +141,11 @@ fn streams_oscillating_across_the_threshold_match_cold() {
         min_area: 1,
         edges_per_kilo_work: 307,
     };
-    for t in thread_counts() {
-        let pool = Arc::new(WorkerPool::new(t));
-        let mut hybrid = DetectEngine::with_parallel(64, 64, Some(pool), forced_par(t));
+    for t in SALTS {
+        let mut hybrid = DetectEngine::new(64, 64);
         hybrid.set_sparse(cfg);
         let mut rag = Rag::new(64, 64);
-        let mut rng = Lcg::new(0x05C111A7E ^ t as u64);
+        let mut rng = Lcg::new(0x05C111A7E ^ t);
         for cycle in 0..3 {
             // Pump up: adds dominate, edge count climbs past ~150.
             for op in 0..260 {
@@ -188,7 +161,7 @@ fn streams_oscillating_across_the_threshold_match_cold() {
                 if rng.below(5) == 0 {
                     let got = hybrid.probe(&rag);
                     let cold = pdda::detect_cold(&rag);
-                    assert_eq!(got, cold, "t={t} cycle={cycle} up op={op}");
+                    assert_eq!(got, cold, "salt={t} cycle={cycle} up op={op}");
                 }
             }
             // Drain down: removals dominate, edge count falls back.
@@ -205,14 +178,14 @@ fn streams_oscillating_across_the_threshold_match_cold() {
                 if rng.below(5) == 0 {
                     let got = hybrid.probe(&rag);
                     let cold = pdda::detect_cold(&rag);
-                    assert_eq!(got, cold, "t={t} cycle={cycle} down op={op}");
+                    assert_eq!(got, cold, "salt={t} cycle={cycle} down op={op}");
                 }
             }
         }
         let s = hybrid.stats();
         assert!(
             s.dense_reductions > 0 && s.sparse_reductions > 0,
-            "t={t}: stream must cross the threshold both ways \
+            "salt={t}: stream must cross the threshold both ways \
              (dense={}, sparse={})",
             s.dense_reductions,
             s.sparse_reductions
@@ -222,14 +195,13 @@ fn streams_oscillating_across_the_threshold_match_cold() {
 }
 
 #[test]
-fn hybrid_stats_are_identical_across_thread_counts() {
+fn hybrid_stats_replay_identically_and_match_cold() {
     // The dispatch decision depends only on shape and live-edge count,
     // so the same script must yield identical outcomes AND identical
-    // EngineStats — including the dense/sparse path split — at every
-    // thread count.
-    let script = |t: usize| -> (Vec<DetectOutcome>, EngineStats) {
-        let pool = Arc::new(WorkerPool::new(t));
-        let mut engine = DetectEngine::with_parallel(128, 128, Some(pool), forced_par(t));
+    // EngineStats — including the dense/sparse path split — in a fresh
+    // engine, and every outcome must match the cold path.
+    let script = || -> (Vec<DetectOutcome>, EngineStats) {
+        let mut engine = DetectEngine::new(128, 128);
         // ≤196 live edges go sparse: 256 × the 768 word visits of 128²
         // dense work, 12‰ of the area.
         engine.set_sparse(SparseConfig {
@@ -242,19 +214,19 @@ fn hybrid_stats_are_identical_across_thread_counts() {
         for _ in 0..500 {
             random_op(&mut rng, &mut rag, 128, 128);
             if rng.below(4) == 0 {
-                outcomes.push(engine.probe(&rag));
+                let got = engine.probe(&rag);
+                assert_eq!(got, pdda::detect_cold(&rag));
+                outcomes.push(got);
             }
         }
         (outcomes, engine.stats())
     };
-    let (base_outcomes, base_stats) = script(1);
+    let (base_outcomes, base_stats) = script();
     assert!(!base_outcomes.is_empty());
-    assert!(base_stats.reductions > 0);
-    for t in thread_counts() {
-        let (outcomes, stats) = script(t);
-        assert_eq!(outcomes, base_outcomes, "t={t}: outcomes diverged");
-        assert_eq!(stats, base_stats, "t={t}: EngineStats diverged");
-    }
+    assert!(base_stats.dense_reductions > 0 && base_stats.sparse_reductions > 0);
+    let (outcomes, stats) = script();
+    assert_eq!(outcomes, base_outcomes, "outcomes diverged");
+    assert_eq!(stats, base_stats, "EngineStats diverged");
 }
 
 #[test]

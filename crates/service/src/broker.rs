@@ -17,12 +17,12 @@
 //! naming a process that can unblock it, and grant arbitration is
 //! priority-directed (smaller level = higher priority).
 
-use std::sync::Arc;
+use std::convert::Infallible;
 
 use deltaos_core::avoid::{Avoider, EngineProbe, ReleaseOutcome, RequestOutcome};
 use deltaos_core::daa::SwDaa;
 use deltaos_core::engine::EngineStats;
-use deltaos_core::par::{ParConfig, WorkerPool};
+use deltaos_core::par::ParConfig;
 use deltaos_core::{Priority, ProcId, Rag, ResId};
 use deltaos_store::{BrokerSnapshot, SessionSnapshot, StoreError};
 
@@ -62,25 +62,22 @@ pub struct Broker {
 impl Broker {
     /// Creates a broker for a `resources` × `processes` session.
     /// `metered` picks the software-DAA engine; otherwise the fast path
-    /// shares the owning loop's reduction pool like any detect engine.
+    /// probes its own detect engine. The last two parameters carry
+    /// nothing (`None` is the only value of the first): they keep
+    /// `svcbench`'s call shape until the benchmark drops them.
     pub fn new(
         resources: u16,
         processes: u16,
         metered: bool,
-        pool: Option<Arc<WorkerPool>>,
-        cfg: ParConfig,
+        _pool: Option<Infallible>,
+        _cfg: ParConfig,
     ) -> Self {
         let engine = if metered {
             Engine::Metered(SwDaa::new(resources as usize, processes as usize))
         } else {
             Engine::Fast {
                 avoider: Avoider::new(resources as usize, processes as usize),
-                probe: Box::new(EngineProbe::with_parallel(
-                    resources as usize,
-                    processes as usize,
-                    pool,
-                    cfg,
-                )),
+                probe: Box::new(EngineProbe::new(resources as usize, processes as usize)),
             }
         };
         Broker {
@@ -352,10 +349,12 @@ impl Broker {
     /// [`StoreError::Invalid`] when the snapshot has no broker section,
     /// its edges violate RAG invariants, or its broker fields are out of
     /// range for the session's dimensions.
+    ///
+    /// The last two parameters carry nothing, as in [`Broker::new`].
     pub fn restore_from(
         snap: &SessionSnapshot,
-        pool: Option<Arc<WorkerPool>>,
-        cfg: ParConfig,
+        _pool: Option<Infallible>,
+        _cfg: ParConfig,
     ) -> Result<Self, StoreError> {
         let b = snap.broker.as_ref().ok_or(StoreError::Invalid {
             what: "snapshot without broker section",
@@ -397,7 +396,7 @@ impl Broker {
         let engine = if b.metered {
             Engine::Metered(SwDaa::from_parts(avoider, b.total_cycles, b.commands))
         } else {
-            let mut probe = Box::new(EngineProbe::with_parallel(resources, processes, pool, cfg));
+            let mut probe = Box::new(EngineProbe::new(resources, processes));
             // No cached outcome is persisted for brokers: the avoider's
             // tentative-edit probes always run against a just-mutated
             // RAG, so a capture-time cache entry could never be valid
@@ -438,7 +437,7 @@ mod tests {
     }
 
     fn prioritized(metered: bool) -> Broker {
-        let mut b = Broker::new(4, 4, metered, None, ParConfig::default());
+        let mut b = Broker::new(4, 4, metered, None, ParConfig);
         for i in 0..4 {
             b.set_priority(p(i), Priority::new(i as u8 + 1));
         }
@@ -562,8 +561,8 @@ mod tests {
             b.acquire(p(1), q(0));
             b.acquire(p(0), q(1)); // parks + asks
             let snap = b.snapshot(9);
-            let mut restored = Broker::restore_from(&snap, None, ParConfig::default()).unwrap();
-            let mut replayed = Broker::restore_from(&snap, None, ParConfig::default()).unwrap();
+            let mut restored = Broker::restore_from(&snap, None, ParConfig).unwrap();
+            let mut replayed = Broker::restore_from(&snap, None, ParConfig).unwrap();
             // A live snapshot can catch the probe's delta mirror
             // mid-stride (last synced during a probe whose request edge
             // was then parked out of the RAG), and restore re-syncs the
@@ -575,7 +574,7 @@ mod tests {
             assert_eq!(resnap.grants, snap.grants);
             assert_eq!(resnap.requests, snap.requests);
             assert_eq!(
-                Broker::restore_from(&resnap, None, ParConfig::default())
+                Broker::restore_from(&resnap, None, ParConfig)
                     .unwrap()
                     .snapshot(9),
                 resnap

@@ -51,7 +51,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use deltaos_core::par::{self, ParConfig, WorkerPool};
+use deltaos_core::par;
 use deltaos_core::{Priority, ProcId, ResId};
 use deltaos_sim::Stats;
 
@@ -80,10 +80,6 @@ pub struct CoreConfig {
     pub max_batch: usize,
     /// Admission control: maximum session dimension (rows or columns).
     pub max_dim: u16,
-    /// Parallel reduction configuration for the session engines; with
-    /// `par.threads > 1` each loop owns one [`WorkerPool`] shared by
-    /// every session it houses.
-    pub par: ParConfig,
     /// Pin loop `i` to CPU `i` (a placement hint, like everywhere else).
     pub pin_cpus: bool,
     /// Durability: `Some` gives every shard a write-ahead log +
@@ -117,7 +113,6 @@ impl Default for CoreConfig {
             max_sessions_per_shard: 1024,
             max_batch: crate::proto::MAX_BATCH,
             max_dim: 4096,
-            par: ParConfig::default(),
             pin_cpus: false,
             durability: None,
             replica: false,
@@ -130,13 +125,10 @@ impl Default for CoreConfig {
 }
 
 impl CoreConfig {
-    /// One pinned loop per host CPU (1..=8), shards matching, reduction
-    /// pools splitting whatever CPUs remain.
+    /// One pinned loop per host CPU (1..=8), shards matching.
     pub fn auto_sized() -> CoreConfig {
-        let loops = par::host_cpus().clamp(1, 8);
         CoreConfig {
-            loops,
-            par: ParConfig::auto_for_shards(loops),
+            loops: par::host_cpus().clamp(1, 8),
             pin_cpus: true,
             ..CoreConfig::default()
         }
@@ -1093,9 +1085,6 @@ fn run_core_loop(ctx: CoreCtx) -> Vec<Stats> {
     if ctx.cfg.pin_cpus {
         par::pin_current_thread(ctx.me);
     }
-    // One reduction pool per loop, shared by every session housed here.
-    let pool: Option<Arc<WorkerPool>> =
-        (ctx.cfg.par.threads > 1).then(|| Arc::new(WorkerPool::new(ctx.cfg.par.threads)));
     // Build (and, with durability, recover) the owned shards before the
     // acceptor starts: no request may observe a half-recovered service.
     let mut shards: HashMap<usize, ShardCore> = HashMap::new();
@@ -1106,8 +1095,6 @@ fn run_core_loop(ctx: CoreCtx) -> Vec<Stats> {
                 shard,
                 ctx.cfg.max_sessions_per_shard,
                 ctx.cfg.max_dim,
-                ctx.cfg.par,
-                pool.clone(),
                 ctx.cfg.durability.as_ref(),
                 ctx.cfg.replica,
             ),

@@ -23,9 +23,8 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use deltaos_core::par::{ParConfig, WorkerPool};
+use deltaos_core::par::ParConfig;
 use deltaos_core::{ProcId, ResId};
 use deltaos_store::{
     BrokerWalOp, FsyncPolicy, SessionSnapshot, ShardCheckpoint, ShardCounters, ShardStore,
@@ -204,14 +203,6 @@ pub(crate) struct RecoveredShard {
     pub wal_tail: Vec<(u64, u64, Vec<u8>)>,
 }
 
-/// Engine-construction context threaded through WAL apply: the shard's
-/// shared reduction pool and its parallelism gate, which travel
-/// together into every `Session`/`Broker` (re)construction.
-pub(crate) struct EngineCtx {
-    pub pool: Option<Arc<WorkerPool>>,
-    pub par: ParConfig,
-}
-
 /// Everything the WAL reproduces about one shard: its session and
 /// broker tables, its counters and its session-id floor. Live ops and
 /// [`apply_wal_op`] change it only through the helpers below, which is
@@ -241,17 +232,12 @@ impl ShardState {
     /// when the snapshot has a broker section, so the blob decides the
     /// kind — and counts the open unless `counted` already did (a
     /// checkpoint's counters count their sessions).
-    pub fn restore(
-        &mut self,
-        snap: &SessionSnapshot,
-        engine: &EngineCtx,
-        counted: bool,
-    ) -> Result<(), StoreError> {
+    pub fn restore(&mut self, snap: &SessionSnapshot, counted: bool) -> Result<(), StoreError> {
         if snap.broker.is_some() {
-            let b = Broker::restore_from(snap, engine.pool.clone(), engine.par)?;
+            let b = Broker::restore_from(snap, None, ParConfig)?;
             self.brokers.insert(snap.session, b);
         } else {
-            let sess = Session::restore_from(snap, engine.pool.clone(), engine.par)?;
+            let sess = Session::restore_from(snap)?;
             self.sessions.insert(snap.session, sess);
         }
         if !counted {
@@ -328,15 +314,14 @@ pub(crate) fn broker_step(b: &mut Broker, op: &BrokerWalOp) -> (Response, Vec<(P
 ///
 /// Panics on an op referencing an unknown session or an undecodable
 /// embedded snapshot — a forged or desynced log, fail-stop either way.
-pub(crate) fn apply_wal_op(shard: usize, op: &WalOp, state: &mut ShardState, engine: &EngineCtx) {
-    let EngineCtx { pool, par } = engine;
+pub(crate) fn apply_wal_op(shard: usize, op: &WalOp, state: &mut ShardState) {
     match op {
         WalOp::Open {
             session,
             resources,
             processes,
         } => {
-            let sess = Session::with_parallel(*resources, *processes, pool.clone(), *par);
+            let sess = Session::new(*resources, *processes);
             state.sessions.insert(*session, sess);
             state.opened(*session);
         }
@@ -351,7 +336,7 @@ pub(crate) fn apply_wal_op(shard: usize, op: &WalOp, state: &mut ShardState, eng
         WalOp::Close { session } => state.retire(*session),
         WalOp::Restore { snapshot } => {
             state
-                .restore(snapshot, engine, false)
+                .restore(snapshot, false)
                 .unwrap_or_else(|e| panic!("shard {shard}: WAL restore: {e}"));
         }
         WalOp::Broker {
@@ -363,7 +348,7 @@ pub(crate) fn apply_wal_op(shard: usize, op: &WalOp, state: &mut ShardState, eng
                     metered,
                 },
         } => {
-            let b = Broker::new(*resources, *processes, *metered, pool.clone(), *par);
+            let b = Broker::new(*resources, *processes, *metered, None, ParConfig);
             state.brokers.insert(*session, b);
             state.opened(*session);
         }
@@ -384,11 +369,7 @@ pub(crate) fn apply_wal_op(shard: usize, op: &WalOp, state: &mut ShardState, eng
 ///
 /// Panics on storage failure or a corrupt (CRC-valid but semantically
 /// invalid) checkpoint — both are fail-stop conditions for a WAL.
-pub(crate) fn open_shard(
-    cfg: &DurabilityConfig,
-    shard: usize,
-    engine: &EngineCtx,
-) -> RecoveredShard {
+pub(crate) fn open_shard(cfg: &DurabilityConfig, shard: usize) -> RecoveredShard {
     let (store, recovery) = ShardStore::open(&cfg.dir, shard as u32, cfg.fsync)
         .unwrap_or_else(|e| panic!("shard {shard}: store open failed: {e}"));
     let mut state = ShardState::default();
@@ -399,14 +380,14 @@ pub(crate) fn open_shard(
         checkpoint_sessions = ckpt.sessions.len() as u64;
         for snap in &ckpt.sessions {
             state
-                .restore(snap, engine, true)
+                .restore(snap, true)
                 .unwrap_or_else(|e| panic!("shard {shard}: checkpoint restore: {e}"));
         }
     }
     let replayed_records = recovery.wal_ops.len() as u64;
     let mut wal_tail = Vec::with_capacity(recovery.wal_ops.len());
     for (seq, epoch, op) in &recovery.wal_ops {
-        apply_wal_op(shard, op, &mut state, engine);
+        apply_wal_op(shard, op, &mut state);
         let mut bytes = Vec::new();
         op.encode_into(&mut bytes);
         wal_tail.push((*seq, *epoch, bytes));

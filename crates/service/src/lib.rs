@@ -76,7 +76,6 @@ mod transport;
 pub use broker::{Broker, BrokerCounters};
 #[cfg(unix)]
 pub use core_runtime::{Client, CoreConfig, CoreRuntime, PendingBatch};
-pub use deltaos_core::par::{ParConfig, WorkerPool};
 pub use deltaos_store::FsyncPolicy;
 pub use durable::{DurabilityConfig, RecoveryInfo};
 pub use proto::{

@@ -8,10 +8,7 @@
 //! `Session` yields byte-identical results (the determinism the
 //! concurrent-sessions test asserts).
 
-use std::sync::Arc;
-
 use deltaos_core::engine::{DetectEngine, EngineStats};
-use deltaos_core::par::{ParConfig, WorkerPool};
 use deltaos_core::Rag;
 use deltaos_store::{SessionSnapshot, StoreError};
 
@@ -50,23 +47,6 @@ impl Session {
         }
     }
 
-    /// Creates a session whose engine shares the owning loop's
-    /// [`WorkerPool`] for large-matrix reductions. Results are
-    /// bit-identical to [`Session::new`] at any thread count; the pool is
-    /// shared per core loop, never per session, so thread count stays
-    /// `loops × par.threads` regardless of session count.
-    pub fn with_parallel(
-        resources: u16,
-        processes: u16,
-        pool: Option<Arc<WorkerPool>>,
-        cfg: ParConfig,
-    ) -> Self {
-        Session {
-            rag: Rag::new(resources as usize, processes as usize),
-            engine: DetectEngine::with_parallel(resources as usize, processes as usize, pool, cfg),
-        }
-    }
-
     /// Captures this session as a durable [`SessionSnapshot`] labeled
     /// with the service-wide `session` id: the RAG's edges, the engine's
     /// lifetime counters, and the engine's cached detection outcome when
@@ -86,13 +66,9 @@ impl Session {
     /// [`StoreError::Invalid`] if the snapshot's edges violate RAG
     /// invariants (possible only for forged or cross-version snapshots —
     /// captures of a live session always restore).
-    pub fn restore_from(
-        snap: &SessionSnapshot,
-        pool: Option<Arc<WorkerPool>>,
-        cfg: ParConfig,
-    ) -> Result<Self, StoreError> {
+    pub fn restore_from(snap: &SessionSnapshot) -> Result<Self, StoreError> {
         let rag = snap.restore_rag()?;
-        let mut engine = DetectEngine::with_parallel(rag.resources(), rag.processes(), pool, cfg);
+        let mut engine = DetectEngine::new(rag.resources(), rag.processes());
         engine.restore(&rag, snap.engine, snap.cached);
         Ok(Session { rag, engine })
     }

@@ -9,16 +9,14 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
-use deltaos_core::par::{ParConfig, WorkerPool};
 use deltaos_core::{Priority, ProcId, ResId};
 use deltaos_sim::{Histogram, Stats};
 use deltaos_store::{BrokerWalOp, SessionSnapshot, WalOp};
 
 use crate::core_runtime::Ticket;
-use crate::durable::{self, DurabilityConfig, EngineCtx, RecoveryInfo, ShardState};
+use crate::durable::{self, DurabilityConfig, RecoveryInfo, ShardState};
 use crate::proto::{
     AvoidanceMode, ErrorCode, Event, EventResult, ReplStatus, Response, SessionId, MAX_FRAME,
 };
@@ -236,7 +234,6 @@ pub(crate) struct ShardCore {
     shard_id: usize,
     max_sessions: usize,
     max_dim: u16,
-    engine: EngineCtx,
     /// Sessions, brokers, counters and the id floor: what the WAL
     /// reproduces, changed only through `durable`'s shared helpers.
     state: ShardState,
@@ -265,16 +262,13 @@ impl ShardCore {
         shard_id: usize,
         max_sessions: usize,
         max_dim: u16,
-        par: ParConfig,
-        pool: Option<Arc<WorkerPool>>,
         durability: Option<&DurabilityConfig>,
         replica: bool,
     ) -> ShardCore {
-        let engine = EngineCtx { pool, par };
         let (state, persist, repl) = match durability {
             None => (ShardState::default(), None, ReplState::new(!replica, false)),
             Some(d) => {
-                let recovered = durable::open_shard(d, shard_id, &engine);
+                let recovered = durable::open_shard(d, shard_id);
                 let mut repl = ReplState::new(!replica, d.repl_ack);
                 repl.epoch = recovered.persist.store.epoch();
                 repl.last_seq = recovered.persist.store.last_seq();
@@ -288,7 +282,6 @@ impl ShardCore {
             shard_id,
             max_sessions,
             max_dim,
-            engine,
             state,
             waiters: HashMap::new(),
             persist,
@@ -383,7 +376,7 @@ impl ShardCore {
     /// — the exact code recovery and replica apply replay.
     fn log_and_apply(&mut self, op: WalOp) {
         self.write_ahead(&op);
-        durable::apply_wal_op(self.shard_id, &op, &mut self.state, &self.engine);
+        durable::apply_wal_op(self.shard_id, &op, &mut self.state);
     }
 
     /// Admission for an op that adds a session: primaries only, and only
@@ -557,7 +550,7 @@ impl ShardCore {
         // Restoring is the validation, so the session is in place before
         // its record is appended; the reply still waits for the record.
         self.state
-            .restore(&snap, &self.engine, false)
+            .restore(&snap, false)
             .map_err(|_| ServiceError::InvalidSnapshot)?;
         self.write_ahead(&WalOp::Restore {
             snapshot: Box::new(snap),
@@ -840,7 +833,7 @@ impl ShardCore {
                     .commit()
                     .unwrap_or_else(|e| panic!("replica WAL commit failed: {e}"));
             }
-            durable::apply_wal_op(self.shard_id, &op, &mut self.state, &self.engine);
+            durable::apply_wal_op(self.shard_id, &op, &mut self.state);
             self.repl.epoch = *epoch;
             self.repl.push(*seq, *epoch, bytes.clone());
             applied = true;

@@ -215,10 +215,10 @@ fn replay_reference(dir: &Path, wal_bytes: &[Vec<u8>]) -> Vec<RefShard> {
                 floor = c.last_seq;
                 for snap in &c.sessions {
                     if snap.broker.is_some() {
-                        let b = Broker::restore_from(snap, None, ParConfig::default()).unwrap();
+                        let b = Broker::restore_from(snap, None, ParConfig).unwrap();
                         brokers.insert(snap.session, b);
                     } else {
-                        let sess = Session::restore_from(snap, None, ParConfig::default()).unwrap();
+                        let sess = Session::restore_from(snap).unwrap();
                         sessions.insert(snap.session, sess);
                     }
                 }
@@ -270,12 +270,10 @@ fn replay_reference(dir: &Path, wal_bytes: &[Vec<u8>]) -> Vec<RefShard> {
                     }
                     WalOp::Restore { snapshot } => {
                         if snapshot.broker.is_some() {
-                            let b = Broker::restore_from(&snapshot, None, ParConfig::default())
-                                .unwrap();
+                            let b = Broker::restore_from(&snapshot, None, ParConfig).unwrap();
                             brokers.insert(snapshot.session, b);
                         } else {
-                            let sess = Session::restore_from(&snapshot, None, ParConfig::default())
-                                .unwrap();
+                            let sess = Session::restore_from(&snapshot).unwrap();
                             sessions.insert(snapshot.session, sess);
                         }
                         counters.sessions_opened += 1;
@@ -291,13 +289,7 @@ fn replay_reference(dir: &Path, wal_bytes: &[Vec<u8>]) -> Vec<RefShard> {
                         } => {
                             brokers.insert(
                                 session,
-                                Broker::new(
-                                    resources,
-                                    processes,
-                                    metered,
-                                    None,
-                                    ParConfig::default(),
-                                ),
+                                Broker::new(resources, processes, metered, None, ParConfig),
                             );
                             counters.sessions_opened += 1;
                         }
